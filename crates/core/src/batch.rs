@@ -18,6 +18,10 @@
 //! not depend on the worker count, because keys are assigned before the
 //! fan-out and each unique pattern is minimized exactly once.
 //!
+//! Results are **shared, not copied**: the memo holds each minimized
+//! pattern behind an [`Arc`], and every slot, duplicate and later hit
+//! hands out a clone of that `Arc` rather than a deep copy of the tree.
+//!
 //! The batch is **fault-isolated**: every task runs behind the pool's
 //! panic shield, so one pattern that panics (or trips a [`Guard`] limit
 //! in [`minimize_batch_guarded`](BatchMinimizer::minimize_batch_guarded))
@@ -85,7 +89,7 @@ fn worker_span(worker: usize) -> &'static str {
 }
 
 /// A batch minimization session: one closed constraint set, one strategy,
-/// and a memo cache of minimized patterns keyed by canonical form.
+/// and a memo cache of minimized patterns keyed by canonical key.
 ///
 /// The cache is internally synchronized — `minimize_batch` takes `&self`,
 /// so one engine can serve concurrent callers.
@@ -93,7 +97,7 @@ fn worker_span(worker: usize) -> &'static str {
 pub struct BatchMinimizer {
     closed: ConstraintSet,
     strategy: Strategy,
-    cache: RwLock<FxHashMap<CanonicalKey, TreePattern>>,
+    cache: RwLock<FxHashMap<CanonicalKey, Arc<TreePattern>>>,
 }
 
 /// What one batch run did, beyond the per-query results.
@@ -169,7 +173,8 @@ impl BatchStats {
 #[derive(Debug, Clone)]
 pub struct BatchOutcome {
     /// Minimized (compacted) patterns, parallel to the input slice.
-    pub patterns: Vec<TreePattern>,
+    /// Isomorphic inputs share one `Arc`.
+    pub patterns: Vec<Arc<TreePattern>>,
     /// Batch-level measurements.
     pub stats: BatchStats,
 }
@@ -181,7 +186,7 @@ pub struct BatchOutcome {
 #[derive(Debug, Clone)]
 pub struct GuardedBatchOutcome {
     /// Per-query results, parallel to the input slice.
-    pub results: Vec<Result<TreePattern>>,
+    pub results: Vec<Result<Arc<TreePattern>>>,
     /// Batch-level measurements.
     pub stats: BatchStats,
 }
@@ -189,7 +194,7 @@ pub struct GuardedBatchOutcome {
 /// How each input query gets its result: from the persistent cache, or
 /// from slot `i` of this batch's unique-work list.
 enum Plan {
-    Cached(TreePattern),
+    Cached(Arc<TreePattern>),
     Computed(usize),
 }
 
@@ -197,8 +202,8 @@ enum Plan {
 /// pattern plus where it came from.
 #[derive(Debug, Clone)]
 pub struct CachedOutcome {
-    /// The minimized (compacted) query.
-    pub pattern: TreePattern,
+    /// The minimized (compacted) query, shared with the memo.
+    pub pattern: Arc<TreePattern>,
     /// Whether the memo cache answered without running the pipeline.
     pub cache_hit: bool,
     /// Algorithm counters of the run (all zero on a cache hit — the
@@ -231,10 +236,10 @@ impl BatchMinimizer {
 
     /// Snapshot the canonical-pattern memo as `(key, minimized)` pairs,
     /// sorted by key for deterministic serialization.
-    pub fn export_memo(&self) -> Vec<(CanonicalKey, TreePattern)> {
+    pub fn export_memo(&self) -> Vec<(CanonicalKey, Arc<TreePattern>)> {
         let cache = self.cache.read().expect("batch cache poisoned");
-        let mut entries: Vec<(CanonicalKey, TreePattern)> =
-            cache.iter().map(|(k, p)| (k.clone(), p.clone())).collect();
+        let mut entries: Vec<(CanonicalKey, Arc<TreePattern>)> =
+            cache.iter().map(|(k, p)| (k.clone(), Arc::clone(p))).collect();
         entries.sort_by(|(a, _), (b, _)| a.cmp(b));
         entries
     }
@@ -243,7 +248,7 @@ impl BatchMinimizer {
     /// produced under the same [`TypeId`](tpq_base::TypeId) ↔ name
     /// assignment as the patterns this engine will serve (the snapshot
     /// layer verifies this before calling); existing entries win ties.
-    pub fn import_memo(&self, entries: impl IntoIterator<Item = (CanonicalKey, TreePattern)>) {
+    pub fn import_memo(&self, entries: impl IntoIterator<Item = (CanonicalKey, Arc<TreePattern>)>) {
         let mut cache = self.cache.write().expect("batch cache poisoned");
         for (key, pattern) in entries {
             cache.entry(key).or_insert(pattern);
@@ -273,7 +278,7 @@ impl BatchMinimizer {
     /// Minimize one query through the cache (a one-element batch without
     /// the pool; useful for mixed single/batch callers that want the memo
     /// behavior everywhere).
-    pub fn minimize(&self, q: &TreePattern) -> TreePattern {
+    pub fn minimize(&self, q: &TreePattern) -> Arc<TreePattern> {
         self.minimize_guarded(q, &Guard::unlimited())
             .expect("unlimited guard cannot trip and no failpoint is armed")
     }
@@ -282,7 +287,7 @@ impl BatchMinimizer {
     /// served without spending any of the guard's budget; on a miss the
     /// whole minimization pipeline runs guarded and only a successful
     /// result is memoized — a tripped guard leaves the cache unchanged.
-    pub fn minimize_guarded(&self, q: &TreePattern, guard: &Guard) -> Result<TreePattern> {
+    pub fn minimize_guarded(&self, q: &TreePattern, guard: &Guard) -> Result<Arc<TreePattern>> {
         Ok(self.minimize_cached_guarded(q, guard)?.pattern)
     }
 
@@ -295,15 +300,16 @@ impl BatchMinimizer {
         if let Some(hit) = self.cache.read().expect("batch cache poisoned").get(&key) {
             tpq_obs::incr("batch.cache.hit", 1);
             return Ok(CachedOutcome {
-                pattern: hit.clone(),
+                pattern: Arc::clone(hit),
                 cache_hit: true,
                 stats: MinimizeStats::default(),
             });
         }
         tpq_obs::incr("batch.cache.miss", 1);
         let out = minimize_closed_guarded(q, &self.closed, self.strategy, guard)?;
-        self.cache.write().expect("batch cache poisoned").insert(key, out.pattern.clone());
-        Ok(CachedOutcome { pattern: out.pattern, cache_hit: false, stats: out.stats })
+        let pattern = Arc::new(out.pattern);
+        self.cache.write().expect("batch cache poisoned").insert(key, Arc::clone(&pattern));
+        Ok(CachedOutcome { pattern, cache_hit: false, stats: out.stats })
     }
 
     /// Minimize every query in `queries` on up to `jobs` worker threads.
@@ -354,11 +360,12 @@ impl BatchMinimizer {
         let _span = tpq_obs::span!("batch");
         let t0 = Instant::now();
 
-        // Key pass (sequential, cheap next to minimization): fold cache
-        // hits and in-batch duplicates, and collect the unique survivors.
+        // Key pass: fold cache hits and in-batch duplicates, and collect
+        // the unique survivors. It runs sequentially, once per query, so
+        // its per-query cost bounds the batch's parallel speedup; keys are
+        // built in a reused buffer and hits share the memo's `Arc`.
         let mut plan: Vec<Plan> = Vec::with_capacity(queries.len());
         let mut unique: Vec<&TreePattern> = Vec::new();
-        let mut keys: Vec<CanonicalKey> = Vec::new();
         let mut scheduled: FxHashMap<CanonicalKey, usize> = FxHashMap::default();
         let mut hits = 0u64;
         {
@@ -367,15 +374,14 @@ impl BatchMinimizer {
                 let key = q.canonical_key();
                 if let Some(hit) = cache.get(&key) {
                     hits += 1;
-                    plan.push(Plan::Cached(hit.clone()));
+                    plan.push(Plan::Cached(Arc::clone(hit)));
                 } else if let Some(&slot) = scheduled.get(&key) {
                     hits += 1;
                     plan.push(Plan::Computed(slot));
                 } else {
                     let slot = unique.len();
-                    scheduled.insert(key.clone(), slot);
+                    scheduled.insert(key, slot);
                     unique.push(q);
-                    keys.push(key);
                     plan.push(Plan::Computed(slot));
                 }
             }
@@ -401,29 +407,33 @@ impl BatchMinimizer {
         tpq_obs::incr("batch.steal", pool.steals);
         tpq_obs::incr("pool.panic", pool.panics);
 
+        let mut minimize = MinimizeStats::default();
+        let computed: Vec<Result<Arc<TreePattern>>> = outcomes
+            .into_iter()
+            .map(|out| {
+                out.map(|out| {
+                    minimize.merge(out.stats);
+                    Arc::new(out.pattern)
+                })
+            })
+            .collect();
+
         // Memoize for the next batch — successful results only, so a
         // tripped guard never poisons the cache with a partial answer.
         {
             let mut cache = self.cache.write().expect("batch cache poisoned");
-            for (key, out) in keys.into_iter().zip(&outcomes) {
-                if let Ok(out) = out {
-                    cache.insert(key, out.pattern.clone());
+            for (key, slot) in scheduled {
+                if let Ok(pattern) = &computed[slot] {
+                    cache.insert(key, Arc::clone(pattern));
                 }
             }
         }
 
-        let mut minimize = MinimizeStats::default();
-        for out in outcomes.iter().flatten() {
-            minimize.merge(out.stats);
-        }
-        let results: Vec<Result<TreePattern>> = plan
+        let results: Vec<Result<Arc<TreePattern>>> = plan
             .into_iter()
             .map(|p| match p {
                 Plan::Cached(pattern) => Ok(pattern),
-                Plan::Computed(slot) => match &outcomes[slot] {
-                    Ok(out) => Ok(out.pattern.clone()),
-                    Err(e) => Err(e.clone()),
-                },
+                Plan::Computed(slot) => computed[slot].clone(),
             })
             .collect();
         let failed = results.iter().filter(|r| r.is_err()).count();

@@ -11,7 +11,7 @@
 //!   and compaction ([`pattern`]);
 //! * a concise XPath-like DSL, parser and printer ([`parse`], [`mod@print`]):
 //!   `Articles/Article*[/Title][//Paragraph]//Section`;
-//! * rooted-tree isomorphism and a canonical form ([`iso`]), used to verify
+//! * rooted-tree isomorphism and canonical keys ([`iso`]), used to verify
 //!   the paper's uniqueness theorems (4.1 and 5.1);
 //! * structural validation ([`TreePattern::validate`]).
 
@@ -26,7 +26,7 @@ pub mod print;
 pub mod xpath;
 
 pub use condition::{entails, satisfiable, satisfied_by, Condition};
-pub use iso::{canonical_form, isomorphic, CanonicalKey};
+pub use iso::{isomorphic, CanonicalKey};
 pub use node::{EdgeKind, NodeId, PatternNode};
 pub use parse::{parse_pattern, MAX_BRACKET_DEPTH};
 pub use pattern::TreePattern;

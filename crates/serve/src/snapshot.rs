@@ -3,8 +3,8 @@
 //! A snapshot captures, in one versioned and checksummed JSON file:
 //!
 //! 1. the **canonical-pattern memo** of every engine in the process-wide
-//!    [`tpq_core::shared_engine`] LRU (keys as canonical encodings,
-//!    minimized patterns as DSL text);
+//!    [`tpq_core::shared_engine`] LRU (keys as the hex of their canonical
+//!    bytes, minimized patterns as DSL text);
 //! 2. the **closure LRU** of one-shot minimization
 //!    ([`tpq_core::export_closures`]);
 //! 3. the **type-interner name table**, in id order — the ground truth
@@ -25,7 +25,7 @@
 //! those names **in id order** into the target interner. If any name does
 //! not land on its recorded id (the target interner already assigned ids
 //! differently), the whole snapshot is rejected: under a shifted mapping
-//! a stale key string could collide with a *different* future pattern's
+//! a stale key could collide with a *different* future pattern's
 //! key and serve a wrong minimization. A fresh process restoring at
 //! startup (the `--restore` path) always passes this check, because a
 //! fresh interner assigns ids sequentially from zero.
@@ -33,7 +33,7 @@
 //! Snapshots are integrity-checked (FNV-1a over the payload), not
 //! authenticated: restore only files your own server wrote.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
@@ -44,8 +44,11 @@ use tpq_pattern::print::to_dsl;
 use tpq_pattern::{parse_pattern, CanonicalKey, TreePattern};
 
 /// Snapshot file schema version. Bump on any shape change; restores
-/// reject every version but the current one.
-pub const SCHEMA_VERSION: i64 = 1;
+/// reject every version but the current one. Version 2 stores memo keys
+/// as the lowercase hex of the binary canonical key; version 1 held the
+/// older string encoding, which no longer matches any key this build
+/// computes.
+pub const SCHEMA_VERSION: i64 = 2;
 
 /// What a snapshot write or restore covered.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -142,6 +145,26 @@ fn expect_str<'a>(value: Option<&'a Json>, what: &str) -> Result<&'a str, Restor
     value.and_then(Json::as_str).ok_or_else(|| reject(format!("missing string field '{what}'")))
 }
 
+/// Lowercase hex of `bytes`: canonical keys are binary, JSON strings are not.
+fn to_hex(bytes: &[u8]) -> String {
+    let mut out = String::with_capacity(bytes.len() * 2);
+    for b in bytes {
+        let _ = write!(out, "{b:02x}");
+    }
+    out
+}
+
+/// Inverse of [`to_hex`]; `None` on odd length or a non-hex digit.
+fn from_hex(text: &str) -> Option<Vec<u8>> {
+    if !text.len().is_multiple_of(2) {
+        return None;
+    }
+    (0..text.len())
+        .step_by(2)
+        .map(|i| text.get(i..i + 2).and_then(|pair| u8::from_str_radix(pair, 16).ok()))
+        .collect()
+}
+
 /// Milliseconds since the Unix epoch, for snapshot provenance.
 fn now_unix_ms() -> u64 {
     std::time::SystemTime::now()
@@ -196,7 +219,7 @@ pub fn write_snapshot(path: &Path, types: &TypeInterner) -> std::io::Result<Snap
                             memo.iter()
                                 .map(|(key, pattern)| {
                                     Json::object(vec![
-                                        ("key", Json::Str(key.as_str().to_owned())),
+                                        ("key", Json::Str(to_hex(key.as_bytes()))),
                                         ("dsl", Json::Str(to_dsl(pattern, types))),
                                     ])
                                 })
@@ -339,7 +362,7 @@ fn restore_inner(path: &Path, types: &mut TypeInterner) -> Result<SnapshotStats,
         ics: ConstraintSet,
         closed: ConstraintSet,
         strategy: Strategy,
-        memo: Vec<(CanonicalKey, TreePattern)>,
+        memo: Vec<(CanonicalKey, Arc<TreePattern>)>,
     }
     let mut staged_engines: Vec<StagedEngine> = Vec::new();
     let mut patterns = 0usize;
@@ -364,11 +387,13 @@ fn restore_inner(path: &Path, types: &mut TypeInterner) -> Result<SnapshotStats,
             .and_then(Json::as_array)
             .ok_or_else(|| reject("engine entry missing memo"))?
         {
-            let key = expect_str(m.get("key"), "memo key")?.to_owned();
+            let key = expect_str(m.get("key"), "memo key")?;
+            let key =
+                from_hex(key).ok_or_else(|| reject(format!("memo key '{key}' is not hex")))?;
             let dsl = expect_str(m.get("dsl"), "memo dsl")?;
             let pattern = parse_pattern(dsl, types)
                 .map_err(|e| reject(format!("memoized pattern '{dsl}': {e}")))?;
-            memo.push((CanonicalKey::from_canonical_string(key), pattern));
+            memo.push((CanonicalKey::from_bytes(key), Arc::new(pattern)));
         }
         patterns += memo.len();
         staged_engines.push(StagedEngine { ics, closed, strategy, memo });
@@ -405,6 +430,17 @@ mod tests {
         assert_eq!(format!("{:016x}", fnv1a64(b"")), "cbf29ce484222325");
         assert_ne!(fnv1a64(b"a"), fnv1a64(b"b"));
         assert_ne!(fnv1a64(b"ab"), fnv1a64(b"ba"));
+    }
+
+    #[test]
+    fn hex_round_trips_and_rejects_junk() {
+        let bytes = [0x00, 0x7f, 0x80, 0xff, 0x0a];
+        assert_eq!(to_hex(&bytes), "007f80ff0a");
+        assert_eq!(from_hex("007f80ff0a").unwrap(), bytes);
+        assert_eq!(from_hex("").unwrap(), Vec::<u8>::new());
+        for bad in ["0", "0g", "(0,*)", "é0"] {
+            assert_eq!(from_hex(bad), None, "{bad}");
+        }
     }
 
     #[test]

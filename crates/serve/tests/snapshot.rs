@@ -13,6 +13,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use tpq_base::failpoint::{self, Action};
 use tpq_core::{clear_shared_caches, shared_engine, Strategy};
 use tpq_pattern::parse_pattern;
+use tpq_serve::snapshot::SCHEMA_VERSION;
 use tpq_serve::{global_types, restore_snapshot, write_snapshot, ServeConfig, Server};
 
 fn lock() -> MutexGuard<'static, ()> {
@@ -115,7 +116,9 @@ fn damaged_snapshots_are_rejected_and_the_server_starts_cold() {
     std::fs::write(&corrupt, text.replacen("SnapDmgB", "SnapDmgX", 1)).unwrap();
     // A future schema version this build does not read.
     let wrong_version = temp_path("damaged-version.json");
-    std::fs::write(&wrong_version, text.replacen("\"schema\":1", "\"schema\":99", 1)).unwrap();
+    let current = format!("\"schema\":{SCHEMA_VERSION}");
+    assert!(text.contains(&current));
+    std::fs::write(&wrong_version, text.replacen(&current, "\"schema\":99", 1)).unwrap();
     // Not JSON at all.
     let garbage = temp_path("damaged-garbage.json");
     std::fs::write(&garbage, "not json at all\n").unwrap();
@@ -219,5 +222,97 @@ fn restore_failpoint_rejects_cleanly() {
     let mut types = global_types().lock().unwrap();
     restore_snapshot(&path, &mut types).expect("restore after disarm");
     drop(types);
+    clear_shared_caches();
+}
+
+/// The `"key":"…"` value of the first memo entry in a snapshot's text.
+fn first_memo_key(text: &str) -> &str {
+    let start = text.find("\"key\":\"").expect("a memo entry") + "\"key\":\"".len();
+    let len = text[start..].find('"').expect("closing quote");
+    &text[start..start + len]
+}
+
+#[test]
+fn schema_2_round_trip_serves_warm_hits_to_isomorphic_queries() {
+    let _guard = lock();
+    clear_shared_caches();
+    let (ics, minimized) = warm("SnapV2A*[/SnapV2B][//SnapV2C][/SnapV2D]", "SnapV2A -> SnapV2D");
+    let path = temp_path("schema-2.json");
+    {
+        let types = global_types().lock().unwrap();
+        write_snapshot(&path, &types).expect("write");
+    }
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(SCHEMA_VERSION, 2);
+    assert!(text.starts_with("{\"schema\":2,"), "{text}");
+    let key = first_memo_key(&text);
+    assert!(
+        !key.is_empty() && key.bytes().all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b)),
+        "memo keys are stored as lowercase hex: {key}"
+    );
+
+    clear_shared_caches();
+    let restored = {
+        let mut types = global_types().lock().unwrap();
+        restore_snapshot(&path, &mut types).expect("restore")
+    };
+    assert_eq!(restored.patterns, 1);
+    // Siblings reordered: a different pattern, the same canonical key.
+    let q = {
+        let mut types = global_types().lock().unwrap();
+        parse_pattern("SnapV2A*[/SnapV2D][/SnapV2B]//SnapV2C", &mut types).unwrap()
+    };
+    let out = shared_engine(&ics, Strategy::default())
+        .minimize_cached_guarded(&q, &tpq_base::Guard::unlimited())
+        .unwrap();
+    assert!(out.cache_hit, "the restored memo answers an isomorphic query");
+    let types = global_types().lock().unwrap();
+    assert_eq!(tpq_pattern::print::to_dsl(&out.pattern, &types), minimized);
+    drop(types);
+    clear_shared_caches();
+}
+
+#[test]
+fn schema_1_snapshots_are_rejected_and_the_server_starts_cold() {
+    let _guard = lock();
+    clear_shared_caches();
+    warm("SnapV1A*[/SnapV1B][/SnapV1C]", "SnapV1A -> SnapV1C");
+    let path = temp_path("schema-1.json");
+    {
+        let types = global_types().lock().unwrap();
+        write_snapshot(&path, &types).expect("write");
+    }
+    // What the previous build wrote: schema 1, memo keys as the string
+    // canonical form rather than hex.
+    let text = std::fs::read_to_string(&path).unwrap();
+    let key = first_memo_key(&text).to_owned();
+    let old = text.replacen(&format!("\"schema\":{SCHEMA_VERSION}"), "\"schema\":1", 1).replacen(
+        &key,
+        "(0,*/(1,)/(2,))",
+        1,
+    );
+    std::fs::write(&path, old).unwrap();
+
+    clear_shared_caches();
+    tpq_obs::set_enabled(true);
+    let rejected = tpq_obs::counter("snapshot.restore.rejected");
+    let before = rejected.get();
+    let err = {
+        let mut types = global_types().lock().unwrap();
+        restore_snapshot(&path, &mut types).expect_err("schema 1 must be rejected")
+    };
+    assert!(err.reason.contains("schema version 1"), "{err}");
+    assert!(rejected.get() > before, "counted as snapshot.restore.rejected");
+    assert!(tpq_core::export_engines().is_empty(), "nothing restored");
+
+    let server = Server::bind(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        jobs: 1,
+        restore: Some(path.clone()),
+        ..ServeConfig::default()
+    })
+    .expect("bind must survive an old snapshot");
+    assert_eq!(server.handle().restore_status().outcome, "rejected");
+    assert!(tpq_core::export_engines().is_empty(), "the server starts cold");
     clear_shared_caches();
 }

@@ -332,13 +332,11 @@ fn cmd_minimize(args: &[String]) -> Result2<()> {
         let ics = gather_constraints(&opts, &mut types)?;
         let engine = tpq::core::BatchMinimizer::with_strategy(&ics, strategy);
         let out = engine.minimize_batch_guarded(&queries, jobs, &guard);
-        // One stdout line per input query, in input order: failed slots
-        // print a commented placeholder so the output stays parallel.
-        for r in &out.results {
-            match r {
-                Ok(m) => println!("{}", to_dsl(m, &types)),
-                Err(e) => println!("# error: {e}"),
-            }
+        match write_batch_results(&out.results, &types) {
+            Ok(()) => {}
+            // The reader went away (`… | head`): nobody is left to tell.
+            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => return Ok(()),
+            Err(e) => return Err(format!("cannot write results: {e}")),
         }
         if opts.flag("stats") {
             let s = &out.stats;
@@ -377,6 +375,24 @@ fn cmd_minimize(args: &[String]) -> Result2<()> {
         );
     }
     Ok(())
+}
+
+/// One stdout line per batch query, in input order, through one locked
+/// buffered writer: failed slots print a commented placeholder so the
+/// output stays parallel to the input.
+fn write_batch_results(
+    results: &[Result<std::sync::Arc<TreePattern>>],
+    types: &TypeInterner,
+) -> std::io::Result<()> {
+    use std::io::Write;
+    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+    for r in results {
+        match r {
+            Ok(m) => writeln!(out, "{}", to_dsl(m, types))?,
+            Err(e) => writeln!(out, "# error: {e}")?,
+        }
+    }
+    out.flush()
 }
 
 /// `tpq explain`: minimize once with decision-event capture on and print,

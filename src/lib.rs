@@ -56,7 +56,6 @@ pub mod prelude {
     };
     pub use tpq_pattern::print::{to_dsl, to_tree_string};
     pub use tpq_pattern::{
-        canonical_form, entails, isomorphic, parse_pattern, parse_xpath, Condition, EdgeKind,
-        NodeId, TreePattern,
+        entails, isomorphic, parse_pattern, parse_xpath, Condition, EdgeKind, NodeId, TreePattern,
     };
 }

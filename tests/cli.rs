@@ -173,6 +173,49 @@ fn minimize_batch_mode_shares_one_session() {
     assert_eq!(lines, vec!["Book*/Title", "Book*", "Shelf*//Book"]);
 }
 
+/// A batch whose output (about 280 KB) overflows any pipe buffer, so the
+/// writer is still writing when its reader goes away.
+fn large_batch(name: &str) -> std::path::PathBuf {
+    temp_file(name, &"Book*[/Title][/Publisher]\n".repeat(20_000))
+}
+
+#[test]
+fn batch_output_into_a_closed_pipe_exits_quietly() {
+    use std::io::BufRead as _;
+    use std::process::Stdio;
+    let queries = large_batch("broken-pipe.txt");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_tpq"))
+        .args(["minimize", "--batch", queries.to_str().unwrap(), "--ic", "Book -> Publisher"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    // `| head -1`: read one line, then close the pipe.
+    let mut first = String::new();
+    std::io::BufReader::new(child.stdout.take().unwrap()).read_line(&mut first).unwrap();
+    assert_eq!(first, "Book*/Title\n");
+    let out = child.wait_with_output().expect("binary exits");
+    let err = stderr(&out);
+    assert!(!err.contains("panicked"), "{err}");
+    assert_ne!(out.status.code(), Some(101), "{err}");
+    assert!(out.status.success(), "a vanished reader is not an error: {err}");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn batch_write_failure_is_a_clean_cli_error() {
+    let queries = large_batch("full-device.txt");
+    let out = Command::new(env!("CARGO_BIN_EXE_tpq"))
+        .args(["minimize", "--batch", queries.to_str().unwrap(), "--ic", "Book -> Publisher"])
+        .stdout(std::fs::File::create("/dev/full").expect("/dev/full opens"))
+        .output()
+        .expect("binary runs");
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("error: cannot write results"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
+
 /// A heavy spine query: quadratic table builds make it far slower than a
 /// 1 ms deadline on any machine.
 fn pathological_query(nodes: usize) -> String {

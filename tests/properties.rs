@@ -10,7 +10,7 @@ use tpq::core::{
     has_homomorphism_naive, locally_redundant_leaves, minimize_with, Strategy,
 };
 use tpq::matching::{answer_set, answer_set_naive};
-use tpq::pattern::{canonical_form, isomorphic, TreePattern};
+use tpq::pattern::{isomorphic, TreePattern};
 use tpq_workload::{random_constraints, random_pattern, ConstraintSpec, PatternSpec};
 
 const CASES: u64 = 64;
@@ -259,7 +259,7 @@ fn dsl_round_trip() {
     }
 }
 
-/// Compaction preserves the canonical form.
+/// Compaction preserves the canonical key.
 #[test]
 fn compaction_preserves_canonical_form() {
     for case in 0..CASES {
@@ -269,7 +269,7 @@ fn compaction_preserves_canonical_form() {
             q.remove_leaf(l).unwrap();
         }
         let (compacted, _) = q.compact();
-        assert_eq!(canonical_form(&q), canonical_form(&compacted), "case {case}");
+        assert_eq!(q.canonical_key(), compacted.canonical_key(), "case {case}");
         compacted.validate().unwrap();
     }
 }
