@@ -3,49 +3,242 @@
 //!
 //! "The ancestor/descendant table as well as the images table are also
 //! stored as hash tables" — i.e. they persist across redundancy tests
-//! instead of being rebuilt for every leaf. [`CimEngine`] keeps
+//! instead of being rebuilt for every leaf. [`CimEngine`] keeps three
+//! tables over the arena of the (possibly augmented) pattern:
 //!
-//! * a globally pruned images table (`base`): for every original node `v`
-//!   the exact set of nodes `u` such that the subtree of `v` embeds below
-//!   `u` with `v ↦ u` (no exclusions);
-//! * the pre/post ancestor/descendant index.
+//! * `base`, the globally pruned images table: row `v` is exactly the set
+//!   of nodes `u` such that the subtree of `v` embeds below `u` with
+//!   `v ↦ u` (no exclusions);
+//! * `anc`, the ancestor/descendant table: row `u` is the set of `u`'s
+//!   proper ancestors;
+//! * `compat`, the node-level compatibility rows: row `v` is every `u`
+//!   with `v ↦ u` allowed by types, the output marker and conditions. It
+//!   is built once by ANDing per-type rows (and the output row); the
+//!   condition entailment check runs per pair only for nodes that carry
+//!   conditions.
 //!
-//! Testing a leaf `l` then costs only an *overlay walk* along `l`'s
-//! ancestor chain: `overlay(l) = base(l) \ {l}`, and each ancestor's
-//! overlay set keeps exactly the base candidates whose path-child check
-//! still passes against the overlay — every off-path constraint was
-//! already verified when the base was pruned, and overlay sets only
-//! shrink, so nothing else can change. The Figure 3 early exits apply
-//! unchanged: an empty overlay set means "not redundant"; `v ∈ overlay(v)`
-//! means "redundant" (identity extends upward because `u ∈ base(u)`
-//! always holds).
+//! # Row layout
 //!
-//! The tables are rebuilt only when a leaf is actually removed — removals
-//! both grow sets (fewer constraints) and invalidate candidates pointing
-//! at the removed node, so a clean rebuild is the simple sound choice.
-//! Since tests outnumber removals, total table-building work drops from
-//! `O(tests · n · maxImage)` to `O(removals · n · maxImage)`; the
-//! `ablate-incremental` bench quantifies it.
+//! A row is a bitset over the arena: ⌈n/64⌉ `u64` words for an arena of
+//! `n` nodes, with node `u` at bit `u % 64` of word `u / 64`. A table
+//! stores its `n` rows back to back in one `Vec<u64>`, so each table
+//! takes n·⌈n/64⌉·8 bytes — a 57-node augmented pattern needs one word
+//! per row and 456 bytes per table. Structural checks become word
+//! operations:
+//!
+//! * a c-edge child's row maps to the set of parents of its members that
+//!   hang by a c-edge;
+//! * a d-edge child's row maps to the union of its members' `anc` rows;
+//! * pruning a node ANDs its row with every original child's mask.
+//!
+//! The footprint is quadratic in the arena: a 100k-node pattern of
+//! distinct types would need gigabytes. The build therefore spends its
+//! [`Guard`] charge before it allocates a row, so a step budget refuses
+//! such a pattern first (a deadline alone does not bound the memory).
+//!
+//! # Redundancy tests
+//!
+//! Testing a leaf `l` costs only an *overlay walk* along `l`'s ancestor
+//! chain, keeping one row per path step: the leaf's row is
+//! `base(l) \ {l}`, and each ancestor's row is its base row ANDed with
+//! the mask of the row below — every off-path constraint was already
+//! verified when the base was pruned, and overlay rows only shrink, so
+//! nothing else can change. The Figure 3 early exits apply unchanged: an
+//! empty row means "not redundant"; `v ∈ overlay(v)` means "redundant"
+//! (identity extends upward because `u ∈ base(u)` always holds).
+//!
+//! # Removals
+//!
+//! Removing a leaf clears its bit (and the bits of its temporary
+//! children) in every row; each row that lost a bit re-prunes its parent,
+//! up to a fixpoint. The proper ancestors of the removed leaf are the only
+//! nodes whose rows can *grow* (only the leaf's parent lost a
+//! constraint), so they are recomputed bottom-up as `compat & alive` and
+//! pruned. Since tests outnumber removals, total table-building work
+//! drops from `O(tests · n · maxImage)` to `O(removals · n · maxImage)`;
+//! the `ablate-incremental` panel quantifies it.
+//!
+//! # Identical answers
+//!
+//! Rows are iterated in ascending arena order, which is the order of the
+//! candidate lists the rebuilding implementation ([`crate::mapping`])
+//! keeps. Witness extraction takes the first edge-compatible member of
+//! each overlay row, so the witnesses, `tpq explain` output and
+//! [`MinimizeStats`] counters equal those of list-based tables, and the
+//! [`Guard`] is charged the same steps: the size of the alive set per
+//! compatibility row, the row size plus one per prune, and the size of
+//! the alive set per ancestor recomputation. The one addition: when rows
+//! span several words and the tables' words outnumber the compatibility
+//! charge (few original nodes in a large arena), the build also spends
+//! the difference.
 
-use crate::mapping::{original_children, prune_node, pruned_candidates, PatIndex};
 use crate::stats::MinimizeStats;
 use std::time::Instant;
-use tpq_base::{FxHashMap, FxHashSet, Guard, Result};
+use tpq_base::{FxHashMap, Guard, Result, TypeId};
 use tpq_pattern::{EdgeKind, NodeId, TreePattern};
+
+/// Fixed-width bitset rows, one per arena node, stored back to back.
+struct Table {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl Table {
+    fn new(rows: usize, words: usize) -> Table {
+        Table { words, bits: vec![0; rows * words] }
+    }
+
+    #[inline]
+    fn row(&self, id: NodeId) -> &[u64] {
+        &self.bits[id.index() * self.words..(id.index() + 1) * self.words]
+    }
+
+    #[inline]
+    fn row_mut(&mut self, id: NodeId) -> &mut [u64] {
+        &mut self.bits[id.index() * self.words..(id.index() + 1) * self.words]
+    }
+}
+
+#[inline]
+fn contains(row: &[u64], u: NodeId) -> bool {
+    row[u.index() / 64] & (1 << (u.index() % 64)) != 0
+}
+
+#[inline]
+fn insert(row: &mut [u64], u: NodeId) {
+    row[u.index() / 64] |= 1 << (u.index() % 64);
+}
+
+#[inline]
+fn remove(row: &mut [u64], u: NodeId) {
+    row[u.index() / 64] &= !(1 << (u.index() % 64));
+}
+
+fn is_empty(row: &[u64]) -> bool {
+    row.iter().all(|&w| w == 0)
+}
+
+fn count(row: &[u64]) -> u64 {
+    row.iter().map(|w| u64::from(w.count_ones())).sum()
+}
+
+/// `row &= mask`; returns whether `row` lost a member.
+#[inline]
+fn and_with(row: &mut [u64], mask: &[u64]) -> bool {
+    let mut changed = false;
+    for (r, &m) in row.iter_mut().zip(mask) {
+        changed |= *r & !m != 0;
+        *r &= m;
+    }
+    changed
+}
+
+/// The members of `row` in ascending arena order.
+fn ones(row: &[u64]) -> Ones<'_> {
+    Ones { row, word: 0, cur: row.first().copied().unwrap_or(0) }
+}
+
+/// Iterator behind [`ones`].
+struct Ones<'a> {
+    row: &'a [u64],
+    /// Index of the word `cur` came from.
+    word: usize,
+    /// The not yet visited bits of that word.
+    cur: u64,
+}
+
+impl Iterator for Ones<'_> {
+    type Item = NodeId;
+
+    #[inline]
+    fn next(&mut self) -> Option<NodeId> {
+        while self.cur == 0 {
+            self.word += 1;
+            self.cur = *self.row.get(self.word)?;
+        }
+        let b = self.cur.trailing_zeros() as usize;
+        self.cur &= self.cur - 1;
+        Some(NodeId((self.word * 64 + b) as u32))
+    }
+}
+
+/// The pattern's edges as rows, fixed while leaves are removed (deleting
+/// leaves never changes the ancestors or parents of surviving nodes).
+struct Edges {
+    /// The ancestor/descendant table: row `u` holds `u`'s proper ancestors.
+    anc: Table,
+    /// `c_parent[u]`: `u`'s parent if `u` hangs by a c-edge.
+    c_parent: Vec<Option<NodeId>>,
+}
+
+impl Edges {
+    /// The rows of `q`'s alive nodes, given their post-order `post`.
+    fn build(q: &TreePattern, post: &[NodeId], words: usize) -> Edges {
+        let mut anc = Table::new(q.arena_len(), words);
+        let mut c_parent = vec![None; q.arena_len()];
+        // Reverse post-order visits every parent before its children.
+        for &u in post.iter().rev() {
+            let Some(p) = q.node(u).parent else { continue };
+            anc.bits.copy_within(p.index() * words..(p.index() + 1) * words, u.index() * words);
+            insert(anc.row_mut(u), p);
+            if q.node(u).edge == EdgeKind::Child {
+                c_parent[u.index()] = Some(p);
+            }
+        }
+        Edges { anc, c_parent }
+    }
+
+    /// Write into `mask` the nodes that pass the structural check as the
+    /// parent's image, for a child hanging by `edge` whose candidates are
+    /// `child_row`: the parents of the members hanging by a c-edge, or
+    /// every proper ancestor of a member.
+    fn mask(&self, edge: EdgeKind, child_row: &[u64], mask: &mut [u64]) {
+        mask.fill(0);
+        match edge {
+            EdgeKind::Child => {
+                for u in ones(child_row) {
+                    if let Some(p) = self.c_parent[u.index()] {
+                        insert(mask, p);
+                    }
+                }
+            }
+            EdgeKind::Descendant => {
+                for u in ones(child_row) {
+                    for (m, &a) in mask.iter_mut().zip(self.anc.row(u)) {
+                        *m |= a;
+                    }
+                }
+            }
+        }
+    }
+
+    /// May a child hanging by `edge` map onto `u` when its parent maps
+    /// onto `image`?
+    fn fits(&self, edge: EdgeKind, image: NodeId, u: NodeId) -> bool {
+        match edge {
+            EdgeKind::Child => self.c_parent[u.index()] == Some(image),
+            EdgeKind::Descendant => contains(self.anc.row(u), image),
+        }
+    }
+}
 
 /// Incremental minimization engine over one (possibly augmented) pattern.
 pub struct CimEngine {
     q: TreePattern,
-    index: PatIndex,
-    base: Vec<Vec<NodeId>>,
-    /// Reverse index: `rev[u]` lists nodes whose base set (may) contain
-    /// `u`. Maintained as a superset — stale entries are harmless (the
-    /// deletion pass just finds nothing to delete).
-    rev: Vec<Vec<NodeId>>,
+    /// The images table; rows of temporary and dead nodes stay empty.
+    base: Table,
+    edges: Edges,
+    /// Row `v`: every node alive at construction that `v` may map onto.
+    /// Rows of temporary nodes stay empty (they are never in the domain).
+    compat: Table,
+    /// The alive nodes.
+    alive: Vec<u64>,
+    /// Scratch row for [`Edges::mask`].
+    mask: Vec<u64>,
 }
 
 impl CimEngine {
-    /// Build the engine: ancestor/descendant index plus the globally
+    /// Build the engine: ancestor/descendant table plus the globally
     /// pruned images table (timed into `stats.tables_time`).
     pub fn new(q: TreePattern, stats: &mut MinimizeStats) -> Self {
         Self::new_guarded(q, stats, &Guard::unlimited()).expect("unlimited guard cannot trip")
@@ -53,28 +246,39 @@ impl CimEngine {
 
     /// [`CimEngine::new`] under a [`Guard`]: table construction spends one
     /// step per candidate considered, so a small budget or deadline trips
-    /// before the `O(n · maxImage)` build completes.
+    /// before the `O(n · maxImage)` build completes. The compatibility
+    /// charge is spent before any row is allocated, so a budget also
+    /// bounds the tables' n·⌈n/64⌉ words.
     pub fn new_guarded(q: TreePattern, stats: &mut MinimizeStats, guard: &Guard) -> Result<Self> {
         let _span = tpq_obs::span!("acim.tables");
         let t0 = Instant::now();
-        let index = PatIndex::build(&q);
-        let base = pruned_candidates(&q, &q, &index, None, guard)?;
-        let mut rev: Vec<Vec<NodeId>> = vec![Vec::new(); q.arena_len()];
-        for (w, set) in base.iter().enumerate() {
-            for &u in set {
-                rev[u.index()].push(NodeId(w as u32));
+        let n = q.arena_len();
+        let words = n.div_ceil(64);
+        let type_row = charge_build(&q, words, guard)?;
+        let mut alive = vec![0; words];
+        for u in q.alive_ids() {
+            insert(&mut alive, u);
+        }
+        let post = q.post_order();
+        let edges = Edges::build(&q, &post, words);
+        let compat = compat_rows(&q, &alive, &type_row, guard)?;
+        let base = Table { words, bits: compat.bits.clone() };
+        let mut engine = CimEngine { q, base, edges, compat, alive, mask: vec![0; words] };
+        for &v in &post {
+            if !engine.q.node(v).temporary {
+                guard.spend(count(engine.base.row(v)) + 1)?;
+                engine.prune(v);
             }
         }
         stats.tables_time += t0.elapsed();
         if tpq_obs::enabled() {
             use tpq_obs::FieldValue::U64;
-            let candidates: u64 = base.iter().map(|s| s.len() as u64).sum();
             tpq_obs::event(
                 "acim.table",
-                &[("nodes", U64(q.arena_len() as u64)), ("candidates", U64(candidates))],
+                &[("nodes", U64(n as u64)), ("candidates", U64(count(&engine.base.bits)))],
             );
         }
-        Ok(CimEngine { q, index, base, rev })
+        Ok(engine)
     }
 
     /// Borrow the current pattern.
@@ -87,99 +291,94 @@ impl CimEngine {
         self.q
     }
 
-    /// Maintain the tables across the removal of leaf `l` (and its
-    /// already-detached temporary children `dead_temps`) instead of
+    /// AND `v`'s images row with the mask of each original child's row.
+    /// Returns `true` if anything was removed.
+    fn prune(&mut self, v: NodeId) -> bool {
+        let CimEngine { q, base, edges, mask, .. } = self;
+        let mut changed = false;
+        for &w in &q.node(v).children {
+            if !q.is_alive(w) || q.node(w).temporary {
+                continue;
+            }
+            edges.mask(q.node(w).edge, base.row(w), mask);
+            let row = base.row_mut(v);
+            changed |= and_with(row, mask);
+            if is_empty(row) {
+                break;
+            }
+        }
+        changed
+    }
+
+    /// Maintain the tables across the removal of leaf `l` (and the
+    /// already-removed subtrees of its temporary children) instead of
     /// rebuilding:
     ///
-    /// 1. delete the dead nodes from every set holding them as candidates
-    ///    (via the reverse index) and cascade the shrinkage upward —
-    ///    a set's pruning condition depends only on its children's sets,
-    ///    so re-pruning parents to a fixpoint restores exactness;
-    /// 2. recompute the sets of `l`'s proper ancestors from scratch
-    ///    (they are the only nodes whose sets can *grow*: only
-    ///    `parent(l)` lost a constraint, and growth propagates only
-    ///    upward along the ancestor chain).
+    /// 1. clear the dead nodes' bits in every row and cascade the
+    ///    shrinkage upward — a row's pruning condition depends only on its
+    ///    children's rows, so re-pruning parents to a fixpoint restores
+    ///    exactness;
+    /// 2. recompute the rows of `l`'s proper ancestors from scratch
+    ///    (they are the only rows that can *grow*: only `parent(l)` lost a
+    ///    constraint, and growth propagates only upward along the
+    ///    ancestor chain).
     ///
-    /// The pre/post index stays valid: deleting leaves never changes the
-    /// relative order of surviving nodes.
+    /// The ancestor table stays valid: deleting leaves never changes the
+    /// ancestors of surviving nodes.
     /// A tripped guard leaves the tables stale; the pattern itself stays
     /// valid (the removal was already proven redundant), but the engine
     /// must be discarded — `run_guarded` propagates the error out.
-    fn apply_removal(
-        &mut self,
-        l: NodeId,
-        dead_temps: &[NodeId],
-        stats: &mut MinimizeStats,
-        guard: &Guard,
-    ) -> Result<()> {
+    fn apply_removal(&mut self, l: NodeId, stats: &mut MinimizeStats, guard: &Guard) -> Result<()> {
         let _span = tpq_obs::span!("acim.tables");
         let t0 = Instant::now();
-        let ancestors: Vec<NodeId> = self.q.ancestors(l).collect();
-        let anc_set: FxHashSet<NodeId> = ancestors.iter().copied().collect();
-        // Step 1: delete dead candidates, cascade shrinkage.
-        let mut worklist: Vec<NodeId> = Vec::new();
-        let mut dead = vec![l];
-        dead.extend_from_slice(dead_temps);
-        for d in &dead {
-            let owners = std::mem::take(&mut self.rev[d.index()]);
-            for w in owners {
-                if !self.q.is_alive(w) || self.q.node(w).temporary {
-                    continue;
-                }
-                let set = &mut self.base[w.index()];
-                let before = set.len();
-                set.retain(|u| !dead.contains(u));
-                if set.len() != before {
-                    if let Some(p) = self.q.node(w).parent {
-                        worklist.push(p);
-                    }
+        // Step 1: clear the bits of every node the removal killed, cascade
+        // shrinkage.
+        for (i, word) in self.alive.iter_mut().enumerate() {
+            let mut rest = *word;
+            while rest != 0 {
+                let b = rest.trailing_zeros();
+                rest &= rest - 1;
+                if !self.q.is_alive(NodeId(i as u32 * 64 + b)) {
+                    *word &= !(1 << b);
                 }
             }
-            self.base[d.index()].clear();
+        }
+        self.base.row_mut(l).fill(0);
+        let mut worklist: Vec<NodeId> = Vec::new();
+        for w in self.q.alive_ids() {
+            if !self.q.node(w).temporary && and_with(self.base.row_mut(w), &self.alive) {
+                if let Some(p) = self.q.node(w).parent {
+                    worklist.push(p);
+                }
+            }
         }
         while let Some(v) = worklist.pop() {
             guard.check()?;
-            if !self.q.is_alive(v) || self.q.node(v).temporary || anc_set.contains(&v) {
-                // Ancestors get a full recompute below.
+            // Ancestors of l get a full recompute below.
+            let recomputed = contains(self.edges.anc.row(l), v);
+            if recomputed || !self.q.is_alive(v) || self.q.node(v).temporary {
                 continue;
             }
-            if prune_node(&self.q, &self.q, &self.index, v, &mut self.base) {
+            if self.prune(v) {
                 if let Some(p) = self.q.node(v).parent {
                     worklist.push(p);
                 }
             }
         }
         // Step 2: ancestors of l, bottom-up, recomputed from scratch.
-        let targets: Vec<NodeId> = self.q.alive_ids().collect();
-        for &v in &ancestors {
-            guard.spend(targets.len() as u64)?;
-            let mut set: Vec<NodeId> = targets
-                .iter()
-                .copied()
-                .filter(|&u| crate::mapping::node_compatible(&self.q, v, &self.q, u))
-                .collect();
-            self.base[v.index()] = std::mem::take(&mut set);
-            prune_node(&self.q, &self.q, &self.index, v, &mut self.base);
-            for &u in &self.base[v.index()] {
-                // Superset maintenance: record v as a (possible) owner.
-                self.rev[u.index()].push(v);
-            }
+        let targets = count(&self.alive);
+        let mut next = self.q.node(l).parent;
+        while let Some(v) = next {
+            guard.spend(targets)?;
+            let CimEngine { base, compat, alive, .. } = self;
+            let row = base.row_mut(v);
+            row.copy_from_slice(compat.row(v));
+            and_with(row, alive);
+            self.prune(v);
+            next = self.q.node(v).parent;
         }
         stats.tables_time += t0.elapsed();
         Ok(())
-    }
-
-    /// Does the single-child structural check pass for candidate `u` of
-    /// the parent, given the child's (overlay) candidate set?
-    fn child_check(&self, child: NodeId, child_set: &[NodeId], u: NodeId) -> bool {
-        match self.q.node(child).edge {
-            EdgeKind::Child => child_set.iter().any(|&u2| {
-                self.q.node(u2).edge == EdgeKind::Child && self.q.node(u2).parent == Some(u)
-            }),
-            EdgeKind::Descendant => {
-                child_set.iter().any(|&u2| self.index.is_proper_ancestor(u, u2))
-            }
-        }
     }
 
     /// Figure 3 redundancy test via the overlay walk. `l` must be an
@@ -194,64 +393,55 @@ impl CimEngine {
     /// back to the chase step that created them.
     pub fn test_leaf_witness(&self, l: NodeId) -> Option<NodeId> {
         let _span = tpq_obs::span!("acim.scan");
-        debug_assert!(original_children(&self.q, l).is_empty());
-        let mut overlay: FxHashMap<NodeId, Vec<NodeId>> = FxHashMap::default();
-        let start: Vec<NodeId> = self.base[l.index()].iter().copied().filter(|&u| u != l).collect();
-        if start.is_empty() {
+        debug_assert!(!has_original_child(&self.q, l));
+        let words = self.base.words;
+        // The ancestor chain walked so far, leaf first — the spine the
+        // witness extraction descends — and its overlay rows, one per
+        // path step, back to back.
+        let mut path = vec![l];
+        let mut overlay = Vec::with_capacity(4 * words);
+        overlay.extend_from_slice(self.base.row(l));
+        remove(&mut overlay, l);
+        if is_empty(&overlay) {
             return None;
         }
-        overlay.insert(l, start);
-        // The ancestor chain walked so far, leaf first — the spine the
-        // witness extraction descends.
-        let mut path = vec![l];
         for v in self.q.ancestors(l) {
             let path_child = *path.last().expect("path starts at l");
-            let child_set = overlay[&path_child].clone();
-            let newset: Vec<NodeId> = self.base[v.index()]
-                .iter()
-                .copied()
-                .filter(|&u| self.child_check(path_child, &child_set, u))
-                .collect();
-            if newset.is_empty() {
+            let below = overlay.len() - words;
+            overlay.resize(below + 2 * words, 0);
+            let (done, row) = overlay.split_at_mut(below + words);
+            self.edges.mask(self.q.node(path_child).edge, &done[below..], row);
+            and_with(row, self.base.row(v));
+            if is_empty(row) {
                 return None;
             }
-            if newset.contains(&v) {
+            if contains(row, v) {
+                overlay.truncate(below + words);
                 return Some(self.descend_overlay(&path, v, &overlay));
             }
-            overlay.insert(v, newset);
             path.push(v);
         }
-        // The root was reached without an early exit; its overlay set is
+        // The root was reached without an early exit; its overlay row is
         // non-empty, which (endomorphisms fix the root) means redundant.
-        let root = path.pop().expect("the walk visited the root");
-        let top = overlay[&root][0];
-        Some(self.descend_overlay(&path, top, &overlay))
+        path.pop();
+        let (below, top) = overlay.split_at(path.len() * words);
+        let top = ones(top).next().expect("the root's overlay row is non-empty");
+        Some(self.descend_overlay(&path, top, below))
     }
 
     /// Extract `l`'s image by walking the overlay spine back down from the
-    /// node that mapped to `top`, greedily choosing edge-compatible
-    /// candidates. Sound because every overlay candidate came from `base`
-    /// (so its whole subtree is certified) and every surviving parent
-    /// candidate passed [`CimEngine::child_check`] against the child's
-    /// overlay set — the same predicate used here to pick the child image.
-    fn descend_overlay(
-        &self,
-        below: &[NodeId],
-        top: NodeId,
-        overlay: &FxHashMap<NodeId, Vec<NodeId>>,
-    ) -> NodeId {
+    /// node that mapped to `top`, choosing the first edge-compatible
+    /// candidate of each row. Sound because every overlay candidate came
+    /// from `base` (so its whole subtree is certified) and every surviving
+    /// parent candidate passed the same edge check against the child's
+    /// overlay row when the row above was masked.
+    fn descend_overlay(&self, path: &[NodeId], top: NodeId, overlay: &[u64]) -> NodeId {
+        let words = self.base.words;
         let mut image = top;
-        for &p in below.iter().rev() {
-            image = overlay[&p]
-                .iter()
-                .copied()
-                .find(|&u| match self.q.node(p).edge {
-                    EdgeKind::Child => {
-                        self.q.node(u).edge == EdgeKind::Child
-                            && self.q.node(u).parent == Some(image)
-                    }
-                    EdgeKind::Descendant => self.index.is_proper_ancestor(image, u),
-                })
+        for (k, &p) in path.iter().enumerate().rev() {
+            let row = &overlay[k * words..(k + 1) * words];
+            image = ones(row)
+                .find(|&u| self.edges.fits(self.q.node(p).edge, image, u))
                 .expect("surviving image has an edge-compatible candidate in the overlay");
         }
         image
@@ -272,7 +462,7 @@ impl CimEngine {
         let removals = tpq_obs::counter("cim_removed");
         let obs_on = tpq_obs::enabled();
         let mut removed = Vec::new();
-        let mut non_redundant: FxHashSet<NodeId> = FxHashSet::default();
+        let mut non_redundant = vec![0u64; self.base.words];
         loop {
             guard.check()?;
             let candidates: Vec<NodeId> = self
@@ -280,10 +470,10 @@ impl CimEngine {
                 .alive_ids()
                 .filter(|&v| {
                     !self.q.node(v).temporary
-                        && original_children(&self.q, v).is_empty()
+                        && !has_original_child(&self.q, v)
                         && v != self.q.root()
                         && v != self.q.output()
-                        && !non_redundant.contains(&v)
+                        && !contains(&non_redundant, v)
                 })
                 .collect();
             if candidates.is_empty() {
@@ -322,7 +512,7 @@ impl CimEngine {
                         self.q.remove_subtree(t).expect("temp subtree");
                     }
                     self.q.remove_leaf(l).expect("leaf");
-                    self.apply_removal(l, &temps, stats, guard)?;
+                    self.apply_removal(l, stats, guard)?;
                     removed.push(l);
                     stats.cim_removed += 1;
                     if obs_on {
@@ -330,7 +520,7 @@ impl CimEngine {
                     }
                     progress = true;
                 } else {
-                    non_redundant.insert(l);
+                    insert(&mut non_redundant, l);
                 }
             }
             if !progress {
@@ -339,6 +529,100 @@ impl CimEngine {
         }
         Ok(removed)
     }
+}
+
+/// Whether `v` has an alive original child, without collecting them: a
+/// node whose children are all temporary is a leaf for redundancy tests.
+fn has_original_child(q: &TreePattern, v: NodeId) -> bool {
+    q.node(v).children.iter().any(|&c| q.is_alive(c) && !q.node(c).temporary)
+}
+
+/// Spend the table build's charge before any row exists, and index the
+/// alive nodes' types for [`compat_rows`]. The charge is the alive count
+/// per original node, one compatibility row each, as a list-based build
+/// spends it. When rows are wider than one word and the tables (three of
+/// n rows plus one per type) take more words than that, the difference is
+/// spent too, so a step budget bounds the tables' memory whatever the
+/// arena's shape.
+fn charge_build(q: &TreePattern, words: usize, guard: &Guard) -> Result<FxHashMap<TypeId, usize>> {
+    let targets = q.alive_ids().count() as u64;
+    let mut charged = 0;
+    for v in q.alive_ids() {
+        if !q.node(v).temporary {
+            guard.spend(targets)?;
+            charged += targets;
+        }
+    }
+    // Sized for the usual handful of types so the index does not regrow.
+    let mut type_row: FxHashMap<TypeId, usize> =
+        FxHashMap::with_capacity_and_hasher(16, Default::default());
+    for u in q.alive_ids() {
+        for t in q.node(u).types.iter() {
+            let next = type_row.len();
+            type_row.entry(t).or_insert(next);
+        }
+    }
+    if words > 1 {
+        let footprint = ((3 * q.arena_len() + type_row.len()) * words) as u64;
+        if footprint > charged {
+            guard.spend(footprint - charged)?;
+        }
+    }
+    Ok(type_row)
+}
+
+/// The `compat` table of `q`: for every alive original node `v`, the alive
+/// nodes `u` with `node_compatible(v, u)`. Type-set inclusion is the AND
+/// of one row per type of `v`; the output marker masks the row down to
+/// the output node; entailment runs per pair only when `v` carries
+/// conditions, after a guard check ([`charge_build`] already spent the
+/// steps, so this only catches a deadline or a cancellation).
+fn compat_rows(
+    q: &TreePattern,
+    alive: &[u64],
+    type_row: &FxHashMap<TypeId, usize>,
+    guard: &Guard,
+) -> Result<Table> {
+    let words = alive.len();
+    // The nodes carrying type `t`, at `type_row[t] * words`.
+    let mut type_rows = vec![0; type_row.len() * words];
+    for u in q.alive_ids() {
+        for t in q.node(u).types.iter() {
+            let at = type_row[&t] * words;
+            insert(&mut type_rows[at..at + words], u);
+        }
+    }
+    let mut compat = Table::new(q.arena_len(), words);
+    for v in q.alive_ids() {
+        let node = q.node(v);
+        if node.temporary {
+            continue;
+        }
+        let row = compat.row_mut(v);
+        row.copy_from_slice(alive);
+        for t in node.types.iter() {
+            let at = type_row[&t] * words;
+            and_with(row, &type_rows[at..at + words]);
+        }
+        if node.output {
+            let out = q.output();
+            let keep = contains(row, out);
+            row.fill(0);
+            if keep {
+                insert(row, out);
+            }
+        }
+        if !node.conditions.is_empty() {
+            guard.check()?;
+            let members: Vec<NodeId> = ones(row).collect();
+            for u in members {
+                if !tpq_pattern::condition::entails(&q.node(u).conditions, &node.conditions) {
+                    remove(row, u);
+                }
+            }
+        }
+    }
+    Ok(compat)
 }
 
 /// CIM via the incremental engine (Section 6.1 implementation). Same
@@ -483,6 +767,106 @@ mod tests {
                 fast.size(),
                 slow.size()
             );
+        }
+    }
+
+    #[test]
+    fn row_iteration_crosses_word_boundaries() {
+        let mut row = vec![0u64; 4];
+        let members = [0, 1, 63, 64, 127, 192, 255];
+        for &u in &members {
+            insert(&mut row, NodeId(u));
+        }
+        let got: Vec<u32> = ones(&row).map(|u| u.0).collect();
+        assert_eq!(got, members, "ascending, across words and past an empty one");
+        assert_eq!(count(&row), members.len() as u64);
+        for u in 0..256 {
+            assert_eq!(contains(&row, NodeId(u)), members.contains(&u), "bit {u}");
+        }
+        remove(&mut row, NodeId(64));
+        remove(&mut row, NodeId(0));
+        assert_eq!(ones(&row).next(), Some(NodeId(1)));
+        remove(&mut row, NodeId(63));
+        remove(&mut row, NodeId(127));
+        assert_eq!(ones(&row).map(|u| u.0).collect::<Vec<_>>(), [1, 192, 255]);
+        assert_eq!(ones(&[0, 0]).next(), None);
+        assert_eq!(ones(&[]).next(), None);
+        assert_eq!(ones(&[u64::MAX]).count(), 64);
+    }
+
+    /// A root `r*` with children of distinct types `t1..` plus, as the
+    /// last arena node, a twin of the first child: exactly `n` nodes,
+    /// the twin at bit `n - 1`.
+    fn star_with_twin(n: usize, edge: EdgeKind) -> TreePattern {
+        let mut tys = TypeInterner::new();
+        let mut q = TreePattern::new(tys.intern("r"));
+        for i in 1..n - 1 {
+            q.add_child(q.root(), edge, tys.intern(&format!("t{i}")));
+        }
+        q.add_child(q.root(), edge, tys.intern("t1"));
+        assert_eq!(q.arena_len(), n);
+        q
+    }
+
+    /// A root `r*` with a `//b` leaf, then a c-edge chain of `a`s ending in
+    /// a `b` as the last arena node: the leaf folds onto the far `b`
+    /// through the ancestor rows.
+    fn leaf_over_chain(n: usize) -> TreePattern {
+        let mut tys = TypeInterner::new();
+        let (a, b) = (tys.intern("a"), tys.intern("b"));
+        let mut q = TreePattern::new(tys.intern("r"));
+        q.add_child(q.root(), EdgeKind::Descendant, b);
+        let mut tail = q.root();
+        for _ in 2..n - 1 {
+            tail = q.add_child(tail, EdgeKind::Child, a);
+        }
+        q.add_child(tail, EdgeKind::Child, b);
+        assert_eq!(q.arena_len(), n);
+        q
+    }
+
+    #[test]
+    fn arenas_at_word_boundaries() {
+        for n in [63, 64, 65, 128, 129] {
+            let last = NodeId(n as u32 - 1);
+            for edge in [EdgeKind::Child, EdgeKind::Descendant] {
+                let q = star_with_twin(n, edge);
+                let mut engine = CimEngine::new(q.clone(), &mut MinimizeStats::default());
+                assert_eq!(engine.test_leaf_witness(NodeId(1)), Some(last), "n={n} {edge:?}");
+                assert_eq!(engine.test_leaf_witness(last), Some(NodeId(1)), "n={n} {edge:?}");
+                assert_eq!(engine.test_leaf_witness(NodeId(2)), None, "n={n} {edge:?}");
+                assert_eq!(engine.run(&mut MinimizeStats::default()), [NodeId(1)]);
+                assert_eq!(engine.pattern().size(), n - 1);
+                assert!(isomorphic(&cim_incremental(&q), &cim(&q)), "n={n} {edge:?}");
+            }
+            let q = leaf_over_chain(n);
+            let mut engine = CimEngine::new(q.clone(), &mut MinimizeStats::default());
+            assert_eq!(engine.test_leaf_witness(NodeId(1)), Some(last), "n={n}");
+            assert_eq!(engine.test_leaf_witness(last), None, "n={n}");
+            assert_eq!(engine.run(&mut MinimizeStats::default()), [NodeId(1)]);
+            assert!(isomorphic(&cim_incremental(&q), &cim(&q)), "n={n}");
+        }
+    }
+
+    #[test]
+    fn removal_clears_nested_temporary_subtrees_from_the_alive_row() {
+        // `r*[/a[/x/y]][/a][/b]`, the first `a` carrying a two-level
+        // temporary chain: removing that `a` kills `x` and `y` too.
+        let mut tys = TypeInterner::new();
+        let (a, b, x, y) = (tys.intern("a"), tys.intern("b"), tys.intern("x"), tys.intern("y"));
+        let mut q = TreePattern::new(tys.intern("r"));
+        let first = q.add_child(q.root(), EdgeKind::Child, a);
+        let t = q.add_temp_child(first, EdgeKind::Child, x);
+        q.add_temp_child(t, EdgeKind::Child, y);
+        q.add_child(q.root(), EdgeKind::Child, a);
+        q.add_child(q.root(), EdgeKind::Child, b);
+        let mut engine = CimEngine::new(q, &mut MinimizeStats::default());
+        assert_eq!(engine.run(&mut MinimizeStats::default()), [first]);
+        let alive: Vec<NodeId> = ones(&engine.alive).collect();
+        let expected: Vec<NodeId> = engine.pattern().alive_ids().collect();
+        assert_eq!(alive, expected);
+        for v in expected {
+            assert!(ones(engine.base.row(v)).all(|u| engine.pattern().is_alive(u)), "{v}");
         }
     }
 

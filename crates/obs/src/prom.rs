@@ -68,6 +68,9 @@ fn help_for(internal: &str) -> Option<&'static str> {
         "serve.request.slow" => "Requests at or over the slow-query log threshold.",
         "serve.conn.accepted" => "Connections accepted.",
         "serve.conn.refused" => "Connections refused at the max-conns limit.",
+        "serve.accept.errors" => {
+            "Failed accept calls (such as EMFILE); the reactor retries every loop tick."
+        }
         "serve.shed.queue_full" => "Requests shed because the admission queue was full.",
         "serve.shed.injected" => "Requests shed by the armed serve.shed failpoint.",
         "serve.shed.drain" => "Buffered requests answered with a typed drain error at shutdown.",

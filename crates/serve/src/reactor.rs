@@ -47,7 +47,8 @@
 //!
 //! Observability: `serve.epoll.wakeups` counts loop iterations,
 //! `serve.epoll.ready` is a value histogram of ready events per wakeup,
-//! and `serve.backpressure.stalls` counts high-water pauses; see
+//! `serve.backpressure.stalls` counts high-water pauses, and
+//! `serve.accept.errors` counts failed accepts (retried every tick); see
 //! `docs/OBSERVABILITY.md`.
 
 use crate::proto::ProtoError;
@@ -227,6 +228,10 @@ struct Reactor {
     /// stale ready events) for a reused slot are recognized and dropped.
     gens: Vec<u64>,
     free: Vec<usize>,
+    /// The last accept failed (say `EMFILE`) with connections possibly
+    /// still queued; the edge-triggered listener will not report them
+    /// again, so every loop tick retries.
+    accept_stalled: bool,
 }
 
 /// Serve on `listener` with the epoll engine until shutdown, then drain
@@ -246,6 +251,7 @@ pub(crate) fn run(listener: TcpListener, state: Arc<ServerState>) -> std::io::Re
         slots: Vec::new(),
         gens: Vec::new(),
         free: Vec::new(),
+        accept_stalled: false,
     };
     let mut events = vec![EpollEvent::default(); EVENTS_PER_WAIT];
     while !reactor.state.shutdown_requested() {
@@ -257,12 +263,18 @@ pub(crate) fn run(listener: TcpListener, state: Arc<ServerState>) -> std::io::Re
         if n > 0 {
             tpq_obs::record_value("serve.epoll.ready", n as u64);
         }
+        let mut listener_ready = false;
         for event in &events[..n] {
             match event.token() {
-                TOKEN_LISTENER => reactor.accept_ready(&listener),
+                TOKEN_LISTENER => listener_ready = true,
                 TOKEN_WAKEUP => reactor.deliver_completions(),
                 token => reactor.conn_event((token - TOKEN_BASE) as usize, event.events()),
             }
+        }
+        // Accept after this tick's closes, which may have freed the
+        // descriptors a stalled accept was waiting for.
+        if listener_ready || reactor.accept_stalled {
+            reactor.accept_ready(&listener);
         }
     }
     drop(listener); // refuse new connections from here on
@@ -274,8 +286,12 @@ impl Reactor {
     /// Accept until the listener would block (edge-triggered contract),
     /// refusing connections over the `max_conns` gate. Freshly accepted
     /// sockets are blocking (Linux does not inherit `O_NONBLOCK`), which
-    /// is exactly what [`refuse_connection`]'s timed write needs.
+    /// is exactly what [`refuse_connection`]'s timed write needs. Any
+    /// other accept error (`EMFILE`, `ENFILE`, `ENOBUFS`, …) leaves the
+    /// backlog queued without a new edge, so it is counted in
+    /// `serve.accept.errors` and the accept is retried on the next tick.
     fn accept_ready(&mut self, listener: &TcpListener) {
+        self.accept_stalled = false;
         loop {
             match listener.accept() {
                 Ok((stream, _peer)) => {
@@ -310,7 +326,11 @@ impl Reactor {
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => break,
+                Err(_) => {
+                    tpq_obs::incr("serve.accept.errors", 1);
+                    self.accept_stalled = true;
+                    break;
+                }
             }
         }
     }

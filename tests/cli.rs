@@ -242,6 +242,29 @@ fn minimize_budget_exhausted_exits_cleanly() {
     assert!(stderr(&out).contains("step budget"), "{}", stderr(&out));
 }
 
+/// A 30k-node spine of distinct types: the engine's bitset tables for it
+/// would take about 450 MB. Under a budget the build must trip before
+/// allocating them; a 200 MB address-space limit turns any such
+/// allocation into an abort.
+#[test]
+fn budget_trips_before_the_images_tables_are_allocated() {
+    let spine: Vec<String> = (0..30_000).map(|i| format!("t{i}")).collect();
+    let queries = temp_file("distinct-spine.txt", &format!("{}\n", spine.join("/")));
+    let out = Command::new("sh")
+        .arg("-c")
+        .arg("ulimit -v 200000 && exec \"$0\" \"$@\"")
+        .arg(env!("CARGO_BIN_EXE_tpq"))
+        .args(["minimize", "--strategy", "acim", "--jobs", "1", "--budget", "100000000"])
+        .arg("--batch")
+        .arg(&queries)
+        .output()
+        .expect("sh runs");
+    let (text, err) = (stdout(&out), stderr(&out));
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(text.starts_with("# error: budget error: step budget"), "{text}{err}");
+    std::fs::remove_file(queries).ok();
+}
+
 #[test]
 fn batch_deadline_reports_per_query_errors_and_exit_one() {
     let queries = temp_file(
@@ -390,6 +413,146 @@ fn explain_names_a_constraint_or_witness_per_deleted_node() {
     }
     assert!(text.contains("CDM rule 2"), "{text}");
     assert!(text.contains("IC-implied Paragraph"), "{text}");
+}
+
+/// `tpq explain` on the paper-figure queries (`tests/paper_figures.rs`):
+/// the minimized query and every deletion line, witnesses included, as
+/// the list-based images tables produced them. The bitset tables must
+/// pick the same witnesses.
+#[test]
+fn explain_paper_figures_golden() {
+    const FIG2A: &str = "Articles[/Article//Paragraph]/Article*[/Title]//Section//Paragraph";
+    const FIG2B: &str = "Articles[/Article//Paragraph]/Article*//Section//Paragraph";
+    const FIG2F: &str = "Organization*[/Employee//Project][/PermEmp//DBproject]";
+    const FIG2F_ICS: &[&str] = &["PermEmp ~ Employee", "DBproject ~ Project"];
+    const BOOK: &str = "Book*[/Title][/Author][/Publisher]";
+    let cases: &[(&str, &[&str], &str, &[&str])] = &[
+        (
+            FIG2A,
+            &["Article -> Title", "Section ->> Paragraph"],
+            "full",
+            &[
+                "Articles/Article*//Section",
+                "  - Paragraph (node 6): CDM rule 2 at Section (node 5): Section ->> Paragraph",
+                "  - Title (node 4): CDM rule 1 at Article (node 3): Article -> Title",
+                "  - Paragraph (node 2): CIM folds it onto the IC-implied Paragraph under Section (node 5), chase: Section ->> Paragraph",
+                "  - Article (node 1): CIM folds it onto Article (node 3)",
+            ],
+        ),
+        (
+            FIG2A,
+            &["Article -> Title", "Section ->> Paragraph"],
+            "acim",
+            &[
+                "Articles/Article*//Section",
+                "  - Paragraph (node 2): CIM folds it onto Paragraph (node 6)",
+                "  - Title (node 4): CIM folds it onto the IC-implied Title under Article (node 3), chase: Article -> Title",
+                "  - Paragraph (node 6): CIM folds it onto the IC-implied Paragraph under Section (node 5), chase: Section ->> Paragraph",
+                "  - Article (node 1): CIM folds it onto Article (node 3)",
+            ],
+        ),
+        (
+            FIG2B,
+            &["Section ->> Paragraph"],
+            "full",
+            &[
+                "Articles/Article*//Section",
+                "  - Paragraph (node 5): CDM rule 2 at Section (node 4): Section ->> Paragraph",
+                "  - Paragraph (node 2): CIM folds it onto the IC-implied Paragraph under Section (node 4), chase: Section ->> Paragraph",
+                "  - Article (node 1): CIM folds it onto Article (node 3)",
+            ],
+        ),
+        (
+            FIG2B,
+            &["Section ->> Paragraph"],
+            "acim",
+            &[
+                "Articles/Article*//Section",
+                "  - Paragraph (node 2): CIM folds it onto Paragraph (node 5)",
+                "  - Paragraph (node 5): CIM folds it onto the IC-implied Paragraph under Section (node 4), chase: Section ->> Paragraph",
+                "  - Article (node 1): CIM folds it onto Article (node 3)",
+            ],
+        ),
+        (
+            "Articles[/Article//Paragraph]/Article*//Section",
+            &["Section ->> Paragraph"],
+            "full",
+            &[
+                "Articles/Article*//Section",
+                "  - Paragraph (node 2): CIM folds it onto the IC-implied Paragraph under Section (node 4), chase: Section ->> Paragraph",
+                "  - Article (node 1): CIM folds it onto Article (node 3)",
+            ],
+        ),
+        (
+            FIG2F,
+            FIG2F_ICS,
+            "full",
+            &[
+                "Organization*/PermEmp//DBproject",
+                "  - Project (node 2): CIM folds it onto DBproject (node 4)",
+                "  - Employee (node 1): CIM folds it onto PermEmp (node 3)",
+            ],
+        ),
+        (
+            "OrgUnit*[/Dept/Researcher//DBProject]//Dept//DBProject",
+            &[],
+            "full",
+            &[
+                "OrgUnit*/Dept/Researcher//DBProject",
+                "  - DBProject (node 5): CIM folds it onto DBProject (node 3)",
+                "  - Dept (node 4): CIM folds it onto Dept (node 1)",
+            ],
+        ),
+        (
+            "Dept*[//DBProject]//Manager//DBProject",
+            &[],
+            "full",
+            &[
+                "Dept*//Manager//DBProject",
+                "  - DBProject (node 1): CIM folds it onto DBProject (node 3)",
+            ],
+        ),
+        (
+            BOOK,
+            &["Book -> Publisher"],
+            "full",
+            &[
+                "Book*[/Title]/Author",
+                "  - Publisher (node 3): CDM rule 1 at Book (node 0): Book -> Publisher",
+            ],
+        ),
+        (
+            BOOK,
+            &["Book -> Publisher"],
+            "acim",
+            &[
+                "Book*[/Title]/Author",
+                "  - Publisher (node 3): CIM folds it onto the IC-implied Publisher under Book (node 0), chase: Book -> Publisher",
+            ],
+        ),
+        (
+            "a*[/b/c][/b[/c][/d]]",
+            &[],
+            "full",
+            &[
+                "a*/b[/c]/d",
+                "  - c (node 2): CIM folds it onto c (node 4)",
+                "  - b (node 1): CIM folds it onto b (node 3)",
+            ],
+        ),
+    ];
+    for &(query, ics, strategy, want) in cases {
+        let mut args = vec!["explain", query, "--strategy", strategy];
+        for ic in ics {
+            args.extend(["--ic", ic]);
+        }
+        let out = tpq(&args);
+        assert!(out.status.success(), "{}", stderr(&out));
+        let text = stdout(&out);
+        let got: Vec<&str> =
+            text.lines().enumerate().filter(|&(i, _)| i != 1).map(|(_, l)| l).collect();
+        assert_eq!(got, want, "{query} --strategy {strategy}");
+    }
 }
 
 #[test]

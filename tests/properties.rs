@@ -95,11 +95,24 @@ fn incremental_engine_matches_rebuilding() {
 /// ... and the same under constraints, through augmentation.
 #[test]
 fn incremental_acim_matches_rebuilding() {
+    incremental_acim_matches_rebuilding_over(4);
+}
+
+/// ... with constraints over types the pattern mostly lacks.
+#[test]
+fn incremental_acim_matches_rebuilding_under_sparse_constraints() {
+    incremental_acim_matches_rebuilding_over(8);
+}
+
+/// 10-node patterns over 4 types against up to 7 random constraints over
+/// `ic_types` types.
+fn incremental_acim_matches_rebuilding_over(ic_types: usize) {
     for case in 0..CASES {
         let mut r = case_rng(5, case);
         let count = r.gen_range(0..8usize);
         let q = pattern(case, 10, 4);
-        let ics = random_constraints(&ConstraintSpec { count, num_types: 4, seed: case << 8 });
+        let ics =
+            random_constraints(&ConstraintSpec { count, num_types: ic_types, seed: case << 8 });
         let closed = ics.closure();
         let mut s1 = tpq::core::MinimizeStats::default();
         let mut s2 = tpq::core::MinimizeStats::default();
@@ -167,12 +180,23 @@ fn cim_preserves_answers_on_random_documents() {
 /// larger than the CIM output.
 #[test]
 fn acim_preserves_equivalence_under_ics() {
+    acim_preserves_equivalence_under_ics_over(4);
+}
+
+/// ... and over 8 types, where fewer nodes share a type.
+#[test]
+fn acim_preserves_equivalence_under_ics_over_eight_types() {
+    acim_preserves_equivalence_under_ics_over(8);
+}
+
+/// Patterns and constraints both over `num_types` types.
+fn acim_preserves_equivalence_under_ics_over(num_types: usize) {
     for case in 0..CASES {
         let mut r = case_rng(7, case);
         let nodes = r.gen_range(1..12usize);
         let count = r.gen_range(0..8usize);
-        let q = pattern(case, nodes, 4);
-        let ics = random_constraints(&ConstraintSpec { count, num_types: 4, seed: case << 8 });
+        let q = pattern(case, nodes, num_types);
+        let ics = random_constraints(&ConstraintSpec { count, num_types, seed: case << 8 });
         let a = minimize_with(&q, &ics, Strategy::AcimOnly).pattern;
         let c = cim(&q);
         assert!(a.size() <= c.size(), "ACIM must subsume CIM (case {case})");
@@ -184,11 +208,23 @@ fn acim_preserves_equivalence_under_ics() {
 /// Theorem 5.2: CDM output is equivalent and locally minimal.
 #[test]
 fn cdm_locally_minimal() {
+    cdm_locally_minimal_over(4);
+}
+
+/// ... also with constraints over types the pattern mostly lacks.
+#[test]
+fn cdm_locally_minimal_under_sparse_constraints() {
+    cdm_locally_minimal_over(8);
+}
+
+/// 12-node patterns over 4 types against constraints over `ic_types`.
+fn cdm_locally_minimal_over(ic_types: usize) {
     for case in 0..CASES {
         let mut r = case_rng(8, case);
         let count = r.gen_range(0..8usize);
         let q = pattern(case, 12, 4);
-        let ics = random_constraints(&ConstraintSpec { count, num_types: 4, seed: case << 8 });
+        let ics =
+            random_constraints(&ConstraintSpec { count, num_types: ic_types, seed: case << 8 });
         let m = cdm(&q, &ics);
         assert!(equivalent_under(&q, &m, &ics), "case {case}");
         let closed = ics.closure();
@@ -202,11 +238,23 @@ fn cdm_locally_minimal() {
 /// Theorem 5.3: CDM as a pre-filter does not change ACIM's result.
 #[test]
 fn cdm_prefilter_reaches_the_same_minimum() {
+    cdm_prefilter_reaches_the_same_minimum_over(4);
+}
+
+/// ... also with constraints over types the pattern mostly lacks.
+#[test]
+fn cdm_prefilter_reaches_the_same_minimum_under_sparse_constraints() {
+    cdm_prefilter_reaches_the_same_minimum_over(8);
+}
+
+/// 12-node patterns over 4 types against constraints over `ic_types`.
+fn cdm_prefilter_reaches_the_same_minimum_over(ic_types: usize) {
     for case in 0..CASES {
         let mut r = case_rng(9, case);
         let count = r.gen_range(0..8usize);
         let q = pattern(case, 12, 4);
-        let ics = random_constraints(&ConstraintSpec { count, num_types: 4, seed: case << 8 });
+        let ics =
+            random_constraints(&ConstraintSpec { count, num_types: ic_types, seed: case << 8 });
         let direct = minimize_with(&q, &ics, Strategy::AcimOnly).pattern;
         let combined = minimize_with(&q, &ics, Strategy::CdmThenAcim).pattern;
         assert!(
@@ -359,4 +407,36 @@ fn repair_satisfies() {
         assert!(tpq::constraints::satisfies(&fixed, &closed), "case {case}");
         fixed.validate().unwrap();
     }
+}
+
+/// ... and on augmented arenas that span several 64-bit words, where the
+/// engine's bitset rows cross word boundaries: 24–40-node patterns under
+/// dense constraint sets grow to 65–250 arena nodes.
+#[test]
+fn incremental_acim_matches_rebuilding_on_multiword_arenas() {
+    let (mut arenas, mut removed) = (Vec::new(), 0);
+    for case in 0..CASES {
+        let mut r = case_rng(12, case);
+        let nodes = r.gen_range(24..41usize);
+        let q = pattern(case, nodes, 8);
+        let count = r.gen_range(24..60usize);
+        let ics = random_constraints(&ConstraintSpec { count, num_types: 8, seed: case << 8 });
+        let closed = ics.closure();
+        let mut s1 = tpq::core::MinimizeStats::default();
+        let mut s2 = tpq::core::MinimizeStats::default();
+        let inc = tpq::core::acim_incremental_closed(&q, &closed, &mut s1);
+        let reb = tpq::core::acim_closed(&q, &closed, &mut s2);
+        assert!(
+            isomorphic(&inc, &reb),
+            "incremental {} vs rebuilding {} (case {case})",
+            inc.size(),
+            reb.size()
+        );
+        assert_eq!(s1.cim_removed, s2.cim_removed, "case {case}");
+        arenas.push(q.arena_len() + s1.augment_nodes_added);
+        removed += s1.cim_removed;
+    }
+    let (min, max) = (arenas.iter().min().unwrap(), arenas.iter().max().unwrap());
+    assert!(*min > 64 && *max > 128, "arenas span {min}..={max} nodes: fewer than 2–3 words");
+    assert!(removed > 0, "no case removed a node");
 }
