@@ -3,8 +3,10 @@
 //! the engine behind the `tpq-bench compare` binary and the CI perf gate.
 //!
 //! Matching is by panel id, then by `(series label, x)` within a panel,
-//! so grid changes (a point added or dropped) never misalign the rest of
-//! the curve. Direction comes from the panel's unit: micros regress
+//! so grid changes never misalign the rest of the curve. A panel, series
+//! or point that only the candidate has is new and passes; one that only
+//! the baseline has is missing and fails the gate, so nothing stops being
+//! gated without a deliberate baseline edit. Direction comes from the panel's unit: micros regress
 //! upward, hit rates and speedups regress downward.
 
 use crate::trajectory::Trajectory;
@@ -52,8 +54,9 @@ pub enum PanelStatus {
     Unchanged,
     /// Panel exists only in the candidate (new benchmark).
     New,
-    /// Panel exists only in the baseline (a benchmark disappeared —
-    /// treated as a failure, deletions must be deliberate).
+    /// The panel, or a series or point of it, exists only in the
+    /// baseline (a benchmark disappeared — treated as a failure,
+    /// deletions must be deliberate).
     Missing,
 }
 
@@ -104,6 +107,9 @@ pub struct PanelReport {
     pub rel_threshold: f64,
     /// Every matched point, in baseline order.
     pub deltas: Vec<PointDelta>,
+    /// Baseline series and points the candidate lacks, in baseline order
+    /// (`series S` or `S @x=N`); empty when the whole panel is missing.
+    pub missing: Vec<String>,
 }
 
 impl PanelReport {
@@ -146,7 +152,8 @@ impl CompareReport {
         for p in &self.panels {
             let worst = match p.status {
                 PanelStatus::New => "first measurement".to_owned(),
-                PanelStatus::Missing => "panel disappeared".to_owned(),
+                PanelStatus::Missing if p.missing.is_empty() => "panel disappeared".to_owned(),
+                PanelStatus::Missing => format!("lost {}", p.missing.join(", ")),
                 _ => match p.worst().or_else(|| {
                     p.deltas
                         .iter()
@@ -174,7 +181,7 @@ impl CompareReport {
             );
         }
         let _ = writeln!(out);
-        for p in self.panels.iter().filter(|p| p.status == PanelStatus::Regressed) {
+        for p in self.panels.iter().filter(|p| p.deltas.iter().any(|d| d.regressed)) {
             let _ = writeln!(out, "## {} regressions\n", p.id);
             for d in p.deltas.iter().filter(|d| d.regressed) {
                 let _ = writeln!(
@@ -199,12 +206,15 @@ fn compare_panel(base: &Panel, cand: &Panel, th: &Thresholds) -> PanelReport {
     let rel_threshold = th.for_panel(&base.id);
     let lower_is_better = base.lower_is_better();
     let mut deltas = Vec::new();
+    let mut missing = Vec::new();
     for base_series in &base.series {
         let Some(cand_series) = cand.series.iter().find(|s| s.label == base_series.label) else {
+            missing.push(format!("series {}", base_series.label));
             continue;
         };
         for bp in &base_series.points {
             let Some(cp) = cand_series.points.iter().find(|p| p.x == bp.x) else {
+                missing.push(format!("{} @x={}", base_series.label, bp.x));
                 continue;
             };
             let rel = if bp.micros == 0.0 {
@@ -233,14 +243,23 @@ fn compare_panel(base: &Panel, cand: &Panel, th: &Thresholds) -> PanelReport {
             });
         }
     }
-    let status = if deltas.iter().any(|d| d.regressed) {
+    let status = if !missing.is_empty() {
+        PanelStatus::Missing
+    } else if deltas.iter().any(|d| d.regressed) {
         PanelStatus::Regressed
     } else if deltas.iter().any(|d| d.improved) {
         PanelStatus::Improved
     } else {
         PanelStatus::Unchanged
     };
-    PanelReport { id: base.id.clone(), unit: base.unit.clone(), status, rel_threshold, deltas }
+    PanelReport {
+        id: base.id.clone(),
+        unit: base.unit.clone(),
+        status,
+        rel_threshold,
+        deltas,
+        missing,
+    }
 }
 
 /// Compare candidate trajectories against baselines, panel by panel.
@@ -259,6 +278,7 @@ pub fn compare(
                 status: PanelStatus::Missing,
                 rel_threshold: th.for_panel(&base.panel.id),
                 deltas: Vec::new(),
+                missing: Vec::new(),
             }),
         }
     }
@@ -270,6 +290,7 @@ pub fn compare(
                 status: PanelStatus::New,
                 rel_threshold: th.for_panel(&cand.panel.id),
                 deltas: Vec::new(),
+                missing: Vec::new(),
             });
         }
     }
@@ -373,6 +394,39 @@ mod tests {
     }
 
     #[test]
+    fn missing_series_or_point_fails_and_new_ones_do_not() {
+        let two_series = |a: &[(u64, f64)], b: &[(u64, f64)]| {
+            let mut t = traj("p", UNIT_MICROS, a);
+            t.panel.series.push(Series {
+                label: "T".into(),
+                points: b.iter().map(|&(x, v)| Point::flat(x, v)).collect(),
+            });
+            vec![t]
+        };
+        let base = two_series(&[(1, 10.0), (2, 20.0)], &[(1, 30.0)]);
+        let th = Thresholds::default();
+        // The candidate dropped series T.
+        let no_series = vec![traj("p", UNIT_MICROS, &[(1, 10.0), (2, 20.0)])];
+        let report = compare(&base, &no_series, &th);
+        assert!(report.has_failures(), "a series disappeared");
+        assert_eq!(report.panels[0].status, PanelStatus::Missing);
+        assert_eq!(report.panels[0].missing, ["series T"]);
+        assert!(report.to_markdown().contains("lost series T"));
+        // The candidate dropped point S @x=2 but kept every series.
+        let no_point = two_series(&[(1, 10.0)], &[(1, 30.0)]);
+        let report = compare(&base, &no_point, &th);
+        assert!(report.has_failures(), "a point disappeared");
+        assert_eq!(report.panels[0].missing, ["S @x=2"]);
+        assert_eq!(report.panels[0].deltas.len(), 2, "the shared points are still compared");
+        // A series or point only the candidate has is new and passes.
+        let mut grown = two_series(&[(1, 10.0), (2, 20.0), (3, 40.0)], &[(1, 30.0)]);
+        grown[0].panel.series.push(Series { label: "U".into(), points: vec![Point::flat(1, 1.0)] });
+        let report = compare(&base, &grown, &th);
+        assert!(!report.has_failures());
+        assert_eq!(report.panels[0].status, PanelStatus::Unchanged);
+    }
+
+    #[test]
     fn zero_and_subfloor_points_never_regress() {
         // Both-zero points are unchanged; zero→tiny stays under the
         // absolute floor; zero→large regresses.
@@ -388,12 +442,15 @@ mod tests {
 
     #[test]
     fn grid_changes_do_not_misalign_points() {
-        // Candidate dropped x=2 and added x=3: x=1 still matches by key.
+        // Candidate dropped x=2 and added x=3: x=1 still matches by key,
+        // and the dropped point is reported as missing.
         let base = vec![traj("a", UNIT_MICROS, &[(1, 100.0), (2, 200.0)])];
         let cand = vec![traj("a", UNIT_MICROS, &[(1, 101.0), (3, 999.0)])];
         let report = compare(&base, &cand, &Thresholds::default());
         let p = &report.panels[0];
-        assert_eq!(p.status, PanelStatus::Unchanged);
+        assert_eq!(p.status, PanelStatus::Missing);
+        assert_eq!(p.missing, ["S @x=2"]);
         assert_eq!(p.deltas.len(), 1, "only the shared x=1 point is compared");
+        assert!(!p.deltas[0].regressed);
     }
 }

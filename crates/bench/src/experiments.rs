@@ -1,7 +1,7 @@
 //! One function per figure panel of the paper's Section 6, returning
 //! measured [`Panel`]s. The `experiments` binary prints them and persists
-//! them as `BENCH_<panel>.json` trajectories; the Criterion benches
-//! measure the same workloads.
+//! them as `BENCH_<panel>.json` trajectories, which `tpq-bench compare`
+//! gates.
 //!
 //! Absolute numbers differ from the paper's 2001 hardware; the
 //! reproduction target is the *shape* of each curve (see EXPERIMENTS.md).
@@ -11,10 +11,9 @@
 //! quick-generated baselines.
 
 use crate::{measure_micros, Panel, Point, Series, UNIT_PERCENT, UNIT_RATIO};
-use tpq_base::FxHashSet;
-use tpq_core::{
-    acim_closed, acim_incremental_closed, cdm_closed, cim, minimize_with, MinimizeStats, Strategy,
-};
+use tpq_base::{FxHashSet, Guard};
+use tpq_constraints::ConstraintSet;
+use tpq_core::{cim, minimize_closed_guarded, minimize_with, MinimizeOutcome, Strategy};
 use tpq_pattern::TreePattern;
 use tpq_workload::{
     ic_chain_query, prefilter_query, redundancy_query, relevant_constraints, shaped_ic_query,
@@ -23,6 +22,13 @@ use tpq_workload::{
 
 /// Iterations per measured point in a full run (median is reported).
 const ITERS: usize = 7;
+
+/// One unlimited run of `strategy` under an already closed set, so the
+/// panels time the algorithms without the closure.
+fn run_closed(q: &TreePattern, closed: &ConstraintSet, strategy: Strategy) -> MinimizeOutcome {
+    minimize_closed_guarded(q, closed, strategy, &Guard::unlimited())
+        .expect("unlimited guard cannot trip")
+}
 
 /// Measurement configuration shared by every panel.
 #[derive(Debug, Clone, Copy)]
@@ -76,8 +82,7 @@ pub fn fig7a(cfg: &ExpConfig) -> Panel {
             });
             let ics = relevant_constraints(&q, k).closure();
             let (m, out) = measure_micros(cfg.iters, || {
-                let mut stats = MinimizeStats::default();
-                acim_incremental_closed(&q.pattern, &ics, &mut stats)
+                run_closed(&q.pattern, &ics, Strategy::AcimOnly).pattern
             });
             assert_eq!(out.size(), q.expected_minimal_size);
             points.push(Point::timed(x, m));
@@ -120,8 +125,8 @@ pub fn fig7b(cfg: &ExpConfig) -> Panel {
         let mut totals = Vec::with_capacity(cfg.iters);
         let mut tabs = Vec::with_capacity(cfg.iters);
         for i in 0..=cfg.iters {
-            let mut stats = MinimizeStats::default();
-            let out = acim_incremental_closed(&chain.pattern, &ics, &mut stats);
+            let MinimizeOutcome { pattern: out, stats } =
+                run_closed(&chain.pattern, &ics, Strategy::AcimOnly);
             assert_eq!(out.size(), 101 - x as usize);
             if i > 0 {
                 // first run is warmup
@@ -174,8 +179,7 @@ pub fn fig8a(cfg: &ExpConfig) -> Panel {
         }
         let closed = ics.closure();
         let (m, out) = measure_micros(cfg.iters, || {
-            let mut stats = MinimizeStats::default();
-            cdm_closed(&chain.pattern, &closed, &mut stats)
+            run_closed(&chain.pattern, &closed, Strategy::CdmOnly).pattern
         });
         assert_eq!(out.size(), 127, "no local redundancy on a c-edge chain");
         points.push(Point::timed(k as u64, m));
@@ -202,8 +206,7 @@ pub fn fig8b(cfg: &ExpConfig) -> Panel {
             let q = shaped_ic_query(x as usize, fanout);
             let closed = q.constraints.closure();
             let (m, out) = measure_micros(cfg.iters, || {
-                let mut stats = MinimizeStats::default();
-                cdm_closed(&q.pattern, &closed, &mut stats)
+                run_closed(&q.pattern, &closed, Strategy::CdmOnly).pattern
             });
             assert_eq!(out.size(), 1);
             points.push(Point::timed(x, m));
@@ -231,8 +234,7 @@ pub fn fig8b_fanout(cfg: &ExpConfig) -> Panel {
         let q = shaped_ic_query(n, fanout as usize);
         let closed = q.constraints.closure();
         let (m, out) = measure_micros(cfg.iters, || {
-            let mut stats = MinimizeStats::default();
-            cdm_closed(&q.pattern, &closed, &mut stats)
+            run_closed(&q.pattern, &closed, Strategy::CdmOnly).pattern
         });
         assert_eq!(out.size(), 1);
         points.push(Point::timed(fanout, m));
@@ -256,12 +258,10 @@ pub fn fig9a(cfg: &ExpConfig) -> Panel {
         let q = ic_chain_query(x as usize);
         let closed = q.constraints.closure();
         let (a_m, a_out) = measure_micros(cfg.iters, || {
-            let mut stats = MinimizeStats::default();
-            acim_incremental_closed(&q.pattern, &closed, &mut stats)
+            run_closed(&q.pattern, &closed, Strategy::AcimOnly).pattern
         });
         let (c_m, c_out) = measure_micros(cfg.iters, || {
-            let mut stats = MinimizeStats::default();
-            cdm_closed(&q.pattern, &closed, &mut stats)
+            run_closed(&q.pattern, &closed, Strategy::CdmOnly).pattern
         });
         assert_eq!(a_out.size(), 1);
         assert_eq!(c_out.size(), 1, "CDM removes the same set here");
@@ -502,12 +502,11 @@ pub fn ablations(cfg: &ExpConfig) -> Vec<Panel> {
     ]
 }
 
-/// Rebuild-per-test ACIM (the literal Figure 3 loop) vs the incremental
-/// engine (Section 6.1: persistent hash-table images, rebuilt only on
-/// removal).
+/// ACIM on the incremental engine (Section 6.1: images tables kept across
+/// redundancy tests and maintained on removal) as redundancy grows;
+/// `ablate-cim-cache` times a rebuild-per-test loop against the engine.
 fn ablate_incremental(cfg: &ExpConfig) -> Panel {
     let xs = cfg.grid(&[10, 30, 50, 70, 90], &[10, 50, 90]);
-    let mut rebuilding = Vec::new();
     let mut incremental = Vec::new();
     for &x in &xs {
         let q = redundancy_query(&RedundancySpec {
@@ -516,28 +515,18 @@ fn ablate_incremental(cfg: &ExpConfig) -> Panel {
             degree: 2,
         });
         let closed = relevant_constraints(&q, 50).closure();
-        let (r_m, r_out) = measure_micros(3, || {
-            let mut stats = MinimizeStats::default();
-            acim_closed(&q.pattern, &closed, &mut stats)
-        });
         let (i_m, i_out) = measure_micros(cfg.iters, || {
-            let mut stats = MinimizeStats::default();
-            acim_incremental_closed(&q.pattern, &closed, &mut stats)
+            run_closed(&q.pattern, &closed, Strategy::AcimOnly).pattern
         });
-        assert_eq!(r_out.size(), q.expected_minimal_size);
         assert_eq!(i_out.size(), q.expected_minimal_size);
-        rebuilding.push(Point::timed(x, r_m));
         incremental.push(Point::timed(x, i_m));
     }
     Panel {
         id: "ablate-incremental".into(),
-        title: "ACIM: rebuild-per-test vs maintained images tables (101-node query)".into(),
+        title: "ACIM on maintained images tables, varying redundancy (101-node query)".into(),
         x_label: "RedDeg*RedN".into(),
         unit: crate::UNIT_MICROS.into(),
-        series: vec![
-            Series { label: "RebuildPerTest".into(), points: rebuilding },
-            Series { label: "Incremental".into(), points: incremental },
-        ],
+        series: vec![Series { label: "Incremental".into(), points: incremental }],
     }
 }
 
@@ -585,11 +574,13 @@ fn ablate_containment(cfg: &ExpConfig) -> Panel {
     }
 }
 
-/// CIM with the "never retest non-redundant leaves" enhancement
-/// (Figure 3 enhancement (1)) vs a naive loop that retests every leaf in
-/// every round. The workload maximizes rounds: a duplicated deep chain
-/// (one leaf removable per round → `depth` rounds) plus many
-/// non-redundant leaves that the naive loop re-tests each round.
+/// CIM on the incremental engine, which never retests a non-redundant
+/// leaf (Figure 3 enhancement (1)) and keeps its tables across tests
+/// (Section 6.1), vs a naive loop that rebuilds the tables for every test
+/// and retests every leaf in every round. The workload maximizes rounds:
+/// a duplicated deep chain (one leaf removable per round → `depth`
+/// rounds) plus many non-redundant leaves that the naive loop re-tests
+/// each round.
 fn ablate_cim_cache(cfg: &ExpConfig) -> Panel {
     let mut tys = tpq_base::TypeInterner::new();
     let mut cached = Vec::new();
@@ -621,7 +612,7 @@ fn ablate_cim_cache(cfg: &ExpConfig) -> Panel {
     }
     Panel {
         id: "ablate-cim-cache".into(),
-        title: "CIM: non-redundant caching (enhancement 1) on vs off".into(),
+        title: "CIM: incremental engine vs rebuild-per-test retest-all loop".into(),
         x_label: "ChainDepth".into(),
         unit: crate::UNIT_MICROS.into(),
         series: vec![
@@ -631,7 +622,8 @@ fn ablate_cim_cache(cfg: &ExpConfig) -> Panel {
     }
 }
 
-/// The paper's enhancement (1) disabled: retest every leaf each round.
+/// The paper's enhancement (1) disabled, on the rebuild-per-test
+/// reference: retest every leaf each round.
 fn cim_no_cache(q: &TreePattern) -> TreePattern {
     let mut work = q.clone();
     loop {

@@ -4,10 +4,9 @@
 //! Each figure panel has an [`experiments`] module function returning a
 //! measured [`Panel`]; the `experiments` binary prints them in the
 //! paper's row format, writes them as schema-versioned
-//! [`trajectory::Trajectory`] files (`BENCH_<panel>.json`), and the
-//! Criterion benches under `benches/` measure the same workloads with
-//! statistical rigor. The `compare` binary diffs two trajectory
-//! directories and flags regressions (see [`compare`]).
+//! [`trajectory::Trajectory`] files (`BENCH_<panel>.json`). The
+//! `compare` binary diffs two trajectory directories and flags
+//! regressions (see [`compare`]).
 
 pub mod compare;
 pub mod concurrency_panel;

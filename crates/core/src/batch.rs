@@ -52,8 +52,7 @@
 //! assert_eq!(out.patterns[0].size(), 2);
 //! ```
 
-use crate::pipeline::{MinimizeOutcome, Strategy};
-use crate::session::minimize_closed_guarded;
+use crate::pipeline::{minimize_closed_guarded, MinimizeOutcome, Strategy};
 use crate::stats::MinimizeStats;
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
@@ -89,7 +88,9 @@ fn worker_span(worker: usize) -> &'static str {
 }
 
 /// A batch minimization session: one closed constraint set, one strategy,
-/// and a memo cache of minimized patterns keyed by canonical key.
+/// and a memo cache of minimized patterns keyed by canonical key. Without
+/// the memo, a session is [`minimize_closed_guarded`] on a set closed
+/// once.
 ///
 /// The cache is internally synchronized — `minimize_batch` takes `&self`,
 /// so one engine can serve concurrent callers.
@@ -275,26 +276,14 @@ impl BatchMinimizer {
         self.cache.write().expect("batch cache poisoned").clear();
     }
 
-    /// Minimize one query through the cache (a one-element batch without
-    /// the pool; useful for mixed single/batch callers that want the memo
-    /// behavior everywhere).
-    pub fn minimize(&self, q: &TreePattern) -> Arc<TreePattern> {
-        self.minimize_guarded(q, &Guard::unlimited())
-            .expect("unlimited guard cannot trip and no failpoint is armed")
-    }
-
-    /// [`BatchMinimizer::minimize`] under a [`Guard`]. A cache hit is
-    /// served without spending any of the guard's budget; on a miss the
-    /// whole minimization pipeline runs guarded and only a successful
-    /// result is memoized — a tripped guard leaves the cache unchanged.
-    pub fn minimize_guarded(&self, q: &TreePattern, guard: &Guard) -> Result<Arc<TreePattern>> {
-        Ok(self.minimize_cached_guarded(q, guard)?.pattern)
-    }
-
-    /// [`BatchMinimizer::minimize_guarded`], reporting cache provenance
-    /// and per-run statistics — the entry point `tpq-serve` uses to
-    /// answer one request and tell the client whether the memo cache
-    /// already knew the pattern.
+    /// Minimize one query through the memo cache (a one-element batch
+    /// without the pool), reporting cache provenance and per-run
+    /// statistics — the entry point `tpq-serve` uses to answer one request
+    /// and tell the client whether the memo cache already knew the
+    /// pattern. A cache hit is served without spending any of the guard's
+    /// budget; on a miss the whole minimization pipeline runs guarded and
+    /// only a successful result is memoized — a tripped guard leaves the
+    /// cache unchanged.
     pub fn minimize_cached_guarded(&self, q: &TreePattern, guard: &Guard) -> Result<CachedOutcome> {
         let key = q.canonical_key();
         if let Some(hit) = self.cache.read().expect("batch cache poisoned").get(&key) {
@@ -566,7 +555,6 @@ pub fn clear_shared_caches() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::Minimizer;
     use tpq_base::{failpoint, Error, TypeInterner};
     use tpq_constraints::parse_constraints;
     use tpq_pattern::{isomorphic, parse_pattern};
@@ -587,16 +575,26 @@ mod tests {
         (BatchMinimizer::new(&ics), queries, tys)
     }
 
+    /// One uncached run of `q` under the engine's closed set and strategy.
+    fn fresh(engine: &BatchMinimizer, q: &TreePattern) -> TreePattern {
+        minimize_closed_guarded(q, engine.constraints(), engine.strategy(), &Guard::unlimited())
+            .unwrap()
+            .pattern
+    }
+
+    /// One query through the memo.
+    fn cached(engine: &BatchMinimizer, q: &TreePattern) -> Arc<TreePattern> {
+        engine.minimize_cached_guarded(q, &Guard::unlimited()).unwrap().pattern
+    }
+
     #[test]
     fn batch_matches_sequential_session() {
-        let (engine, queries, mut tys) = setup();
-        let ics = parse_constraints("Article -> Title\nSection ->> Paragraph", &mut tys).unwrap();
-        let session = Minimizer::new(&ics);
+        let (engine, queries, _) = setup();
         for jobs in [1, 2, 4] {
             let out = engine.minimize_batch(&queries, jobs);
             assert_eq!(out.patterns.len(), queries.len());
             for (q, m) in queries.iter().zip(&out.patterns) {
-                let want = session.minimize(q).pattern;
+                let want = fresh(&engine, q);
                 assert!(isomorphic(m, &want), "jobs={jobs}");
             }
         }
@@ -645,9 +643,9 @@ mod tests {
     #[test]
     fn single_query_path_uses_the_cache() {
         let (engine, queries, _) = setup();
-        let a = engine.minimize(&queries[0]);
+        let a = cached(&engine, &queries[0]);
         assert_eq!(engine.cache_len(), 1);
-        let b = engine.minimize(&queries[4]);
+        let b = cached(&engine, &queries[4]);
         assert_eq!(engine.cache_len(), 1, "isomorphic repeat hits");
         assert_eq!(a, b);
     }
@@ -699,7 +697,7 @@ mod tests {
     #[test]
     fn cancelled_guard_fails_uncached_queries_but_serves_warm_hits() {
         let (engine, queries, _) = setup();
-        let warm = engine.minimize(&queries[0]);
+        let warm = cached(&engine, &queries[0]);
         let guard = Guard::cancellable();
         guard.cancel();
         let out = engine.minimize_batch_guarded(&queries, 2, &guard);
@@ -771,11 +769,11 @@ mod tests {
         let (engine, queries, _) = setup();
         let guard = Guard::cancellable();
         guard.cancel();
-        assert!(engine.minimize_guarded(&queries[0], &guard).is_err());
+        assert!(engine.minimize_cached_guarded(&queries[0], &guard).is_err());
         assert_eq!(engine.cache_len(), 0, "the failure was not memoized");
-        let warm = engine.minimize(&queries[0]);
+        let warm = cached(&engine, &queries[0]);
         // A cache hit costs no budget, so even the dead guard serves it.
-        assert_eq!(engine.minimize_guarded(&queries[0], &guard).unwrap(), warm);
+        assert_eq!(engine.minimize_cached_guarded(&queries[0], &guard).unwrap().pattern, warm);
     }
 
     #[test]
@@ -821,8 +819,17 @@ mod tests {
         {
             let engine = BatchMinimizer::with_strategy(&ics, strategy);
             let out = engine.minimize_batch(std::slice::from_ref(&q), 2);
-            let want = Minimizer::with_strategy(&ics, strategy).minimize(&q).pattern;
+            let want = fresh(&engine, &q);
             assert!(isomorphic(&out.patterns[0], &want), "{strategy:?}");
         }
+    }
+
+    #[test]
+    fn session_constraints_are_closed() {
+        let mut tys = TypeInterner::new();
+        let ics = parse_constraints("a -> b\nb -> c", &mut tys).unwrap();
+        let engine = BatchMinimizer::new(&ics);
+        let (a, c) = (tys.lookup("a").unwrap(), tys.lookup("c").unwrap());
+        assert!(engine.constraints().has_required_descendant(a, c));
     }
 }

@@ -27,8 +27,8 @@
 //! a type pair — Figure 8(a)).
 
 use crate::info::{InfoContent, Obligation, ObligationKind};
+use crate::pipeline::{minimize_unlimited, Strategy};
 use crate::stats::MinimizeStats;
-use std::time::Instant;
 use tpq_base::{Guard, Result};
 use tpq_constraints::ConstraintSet;
 use tpq_pattern::{NodeId, TreePattern};
@@ -36,57 +36,18 @@ use tpq_pattern::{NodeId, TreePattern};
 /// Minimize `q` by local pruning under `ics` (closure computed
 /// internally). Returns the compacted, locally minimal query.
 pub fn cdm(q: &TreePattern, ics: &ConstraintSet) -> TreePattern {
-    cdm_with_stats(q, ics, &mut MinimizeStats::default())
-}
-
-/// [`cdm`] with statistics collection.
-pub fn cdm_with_stats(
-    q: &TreePattern,
-    ics: &ConstraintSet,
-    stats: &mut MinimizeStats,
-) -> TreePattern {
-    let t0 = Instant::now();
-    let closed = ics.closure();
-    let mut work = q.clone();
-    cdm_in_place(&mut work, &closed, stats);
-    let (compacted, _) = work.compact();
-    stats.total_time += t0.elapsed();
-    compacted
-}
-
-/// CDM given an **already logically closed** constraint set; excludes
-/// closure computation (cf. [`crate::acim::acim_closed`]). Returns the
-/// compacted result.
-pub fn cdm_closed(
-    q: &TreePattern,
-    closed: &ConstraintSet,
-    stats: &mut MinimizeStats,
-) -> TreePattern {
-    let t0 = Instant::now();
-    let mut work = q.clone();
-    cdm_in_place(&mut work, closed, stats);
-    let (compacted, _) = work.compact();
-    stats.total_time += t0.elapsed();
-    compacted
+    minimize_unlimited(q, &ics.closure(), Strategy::CdmOnly).pattern
 }
 
 /// Run CDM on `q` in place. `closed` **must** be logically closed (the
 /// rules consult it directly; an unclosed set silently misses
 /// redundancies). Returns the number of leaves removed.
-pub fn cdm_in_place(
-    q: &mut TreePattern,
-    closed: &ConstraintSet,
-    stats: &mut MinimizeStats,
-) -> usize {
-    cdm_in_place_guarded(q, closed, stats, &Guard::unlimited())
-        .expect("unlimited guard cannot trip")
-}
-
-/// [`cdm_in_place`] under a [`Guard`]: checked at each fixpoint-sweep
-/// head and spent once per post-order frame. On a trip `q` is left
-/// partially pruned but still equivalent under the constraints (every
-/// removal applied was individually justified by a Figure 6 rule);
-/// callers wanting all-or-nothing semantics work on a clone.
+///
+/// The guard is checked at each fixpoint-sweep head and spent once per
+/// post-order frame. On a trip `q` is left partially pruned but still
+/// equivalent under the constraints (every removal applied was
+/// individually justified by a Figure 6 rule); callers wanting
+/// all-or-nothing semantics work on a clone.
 pub fn cdm_in_place_guarded(
     q: &mut TreePattern,
     closed: &ConstraintSet,

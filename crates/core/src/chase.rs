@@ -16,7 +16,7 @@ use tpq_pattern::{EdgeKind, NodeId, TreePattern};
 /// One round of the unrestricted chase of Section 5.1, applied to the
 /// current nodes of `q` (added nodes are plain, *not* temporary). Exposed
 /// for illustration and for tests that reproduce the Section 5.1
-/// counter-example; ACIM uses [`augment`] instead.
+/// counter-example; ACIM uses [`augment_guarded`] instead.
 pub fn chase(q: &TreePattern, ics: &ConstraintSet) -> TreePattern {
     let mut out = q.clone();
     let nodes: Vec<NodeId> = out.alive_ids().collect();
@@ -56,26 +56,14 @@ pub fn chase(q: &TreePattern, ics: &ConstraintSet) -> TreePattern {
 ///   carries `t2`'s co-occurrence types on a Σ-satisfying database.
 ///   Without this, an original node that gained a co-occurrence type
 ///   could never map onto an equally-typed temp.
-pub fn augment(
-    q: &mut TreePattern,
-    closed: &ConstraintSet,
-    allowed_rhs: &FxHashSet<TypeId>,
-    stats: &mut MinimizeStats,
-) -> usize {
-    augment_guarded(q, closed, allowed_rhs, stats, &Guard::unlimited())
-        .expect("unlimited guard cannot trip and no failpoint is armed")
-}
-
-/// [`augment`] under a [`Guard`]: spends one step per (node, type) pair
-/// chased and passes the `chase.step` failpoint on each. A tripped guard
-/// (or injected fault) aborts mid-augmentation with [`Err`], leaving `q`
-/// partially augmented but structurally valid — every temp added is
-/// IC-implied, so the partial pattern is still equivalent to the input
-/// under the constraints. Callers wanting all-or-nothing semantics work
-/// on a clone (as [`acim_incremental_closed_guarded`] and
-/// [`crate::acim::acim_closed_guarded`] do).
 ///
-/// [`acim_incremental_closed_guarded`]: crate::incremental::acim_incremental_closed_guarded
+/// The guard is spent one step per (node, type) pair chased, and the
+/// `chase.step` failpoint is passed on each. A tripped guard (or injected
+/// fault) aborts mid-augmentation with [`Err`], leaving `q` partially
+/// augmented but structurally valid — every temp added is IC-implied, so
+/// the partial pattern is still equivalent to the input under the
+/// constraints. Callers wanting all-or-nothing semantics work on a clone
+/// (as [`crate::minimize_closed_guarded`] does).
 pub fn augment_guarded(
     q: &mut TreePattern,
     closed: &ConstraintSet,
@@ -188,7 +176,8 @@ fn expand_temp_types(q: &mut TreePattern, temp: NodeId, closed: &ConstraintSet) 
 }
 
 /// The set of types present in `q` (over full type sets of alive,
-/// non-temporary nodes) — the `allowed_rhs` ACIM passes to [`augment`].
+/// non-temporary nodes) — the `allowed_rhs` ACIM passes to
+/// [`augment_guarded`].
 pub fn present_types(q: &TreePattern) -> FxHashSet<TypeId> {
     let mut s = FxHashSet::default();
     for v in q.alive_ids() {
@@ -218,7 +207,8 @@ mod tests {
                 .closure();
         let allowed = present_types(&q);
         let mut stats = MinimizeStats::default();
-        let added = augment(&mut q, &ics, &allowed, &mut stats);
+        let added =
+            augment_guarded(&mut q, &ics, &allowed, &mut stats, &Guard::unlimited()).unwrap();
         // Only Book -> Title fires: Publisher and LastName are not in the
         // query.
         assert_eq!(added, 1);
@@ -237,7 +227,8 @@ mod tests {
         let ics = parse_constraints("a -> b", &mut tys).unwrap().closure();
         let allowed = present_types(&q);
         let mut stats = MinimizeStats::default();
-        let added = augment(&mut q, &ics, &allowed, &mut stats);
+        let added =
+            augment_guarded(&mut q, &ics, &allowed, &mut stats, &Guard::unlimited()).unwrap();
         assert_eq!(added, 1, "only the c-child temp, not a second d-child");
         let temp = q.alive_ids().find(|&v| q.node(v).temporary).unwrap();
         assert_eq!(q.node(temp).edge, EdgeKind::Child);
@@ -250,7 +241,7 @@ mod tests {
         let ics = parse_constraints("PermEmp ~ Employee", &mut tys).unwrap().closure();
         let allowed = present_types(&q);
         let mut stats = MinimizeStats::default();
-        augment(&mut q, &ics, &allowed, &mut stats);
+        augment_guarded(&mut q, &ics, &allowed, &mut stats, &Guard::unlimited()).unwrap();
         let perm = q.node(q.root()).children[0];
         let emp = tys.lookup("Employee").unwrap();
         assert!(q.node(perm).types.contains(emp));
@@ -264,7 +255,7 @@ mod tests {
         let ics = parse_constraints("a -> b\nb -> a", &mut tys).unwrap().closure();
         let allowed = present_types(&q);
         let mut stats = MinimizeStats::default();
-        augment(&mut q, &ics, &allowed, &mut stats);
+        augment_guarded(&mut q, &ics, &allowed, &mut stats, &Guard::unlimited()).unwrap();
         // Original a gets temp b (child) and temp a (descendant, from the
         // cyclic closure a ->> a); original b symmetrically. The temps
         // themselves must NOT get children of their own.
@@ -283,8 +274,10 @@ mod tests {
         let ics = parse_constraints("a -> b", &mut tys).unwrap().closure();
         let allowed = present_types(&q);
         let mut stats = MinimizeStats::default();
-        let first = augment(&mut q, &ics, &allowed, &mut stats);
-        let second = augment(&mut q, &ics, &allowed, &mut stats);
+        let first =
+            augment_guarded(&mut q, &ics, &allowed, &mut stats, &Guard::unlimited()).unwrap();
+        let second =
+            augment_guarded(&mut q, &ics, &allowed, &mut stats, &Guard::unlimited()).unwrap();
         assert_eq!(first, 1);
         assert_eq!(second, 0, "existing temp children deduplicate");
     }

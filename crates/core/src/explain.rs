@@ -26,9 +26,8 @@
 //! rely on it).
 
 use crate::cdm::cdm_in_place_guarded;
-use crate::cim::cim_in_place_guarded;
-use crate::incremental::CimEngine;
-use crate::pipeline::Strategy;
+use crate::incremental::acim_stage;
+use crate::pipeline::{note_budget_trip, Strategy};
 use crate::stats::MinimizeStats;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -108,15 +107,10 @@ pub struct Explanation {
 }
 
 /// Minimize `q` under `ics` (closed internally) and explain every
-/// deletion. See the module docs for semantics and concurrency notes.
-pub fn explain(q: &TreePattern, ics: &ConstraintSet, strategy: Strategy) -> Explanation {
-    explain_guarded(q, ics, strategy, &Guard::unlimited())
-        .expect("unlimited guard cannot trip and no failpoint is armed")
-}
-
-/// [`explain`] under a [`Guard`]. A tripped guard returns [`Err`] with
-/// the input untouched (the run works on an internal clone).
-pub fn explain_guarded(
+/// deletion. See the module docs for semantics and concurrency notes. A
+/// tripped guard returns [`Err`] with the input untouched (the run works
+/// on an internal clone).
+pub fn explain(
     q: &TreePattern,
     ics: &ConstraintSet,
     strategy: Strategy,
@@ -137,7 +131,7 @@ pub fn explain_guarded(
     };
     let events: Vec<tpq_obs::Event> =
         tpq_obs::drain_events().into_iter().filter(|e| e.trace == trace).collect();
-    let minimized = run.inspect_err(crate::session::note_budget_trip)?;
+    let minimized = run.inspect_err(note_budget_trip)?;
     stats.total_time = t0.elapsed();
     let deletions = fold_deletions(q, &events);
     Ok(Explanation { minimized, stats, trace, deletions, events })
@@ -155,23 +149,14 @@ fn run_uncompacted(
 ) -> Result<TreePattern> {
     let _span = tpq_obs::span!("minimize");
     let mut work = q.clone();
+    if matches!(strategy, Strategy::CdmOnly | Strategy::CdmThenAcim) {
+        cdm_in_place_guarded(&mut work, closed, stats, guard)?;
+    }
     match strategy {
-        Strategy::CimOnly => {
-            cim_in_place_guarded(&mut work, stats, guard)?;
-        }
-        Strategy::CdmOnly => {
-            cdm_in_place_guarded(&mut work, closed, stats, guard)?;
-        }
+        Strategy::CdmOnly => {}
+        Strategy::CimOnly => work = acim_stage(work, None, stats, guard)?,
         Strategy::AcimOnly | Strategy::CdmThenAcim => {
-            if strategy == Strategy::CdmThenAcim {
-                cdm_in_place_guarded(&mut work, closed, stats, guard)?;
-            }
-            let allowed = crate::chase::present_types(&work);
-            crate::chase::augment_guarded(&mut work, closed, &allowed, stats, guard)?;
-            let mut engine = CimEngine::new_guarded(work, stats, guard)?;
-            engine.run_guarded(stats, guard)?;
-            work = engine.into_pattern();
-            work.strip_temporaries();
+            work = acim_stage(work, Some(closed), stats, guard)?
         }
     }
     Ok(work.compact().0)
@@ -286,7 +271,7 @@ mod tests {
         for strategy in
             [Strategy::CimOnly, Strategy::AcimOnly, Strategy::CdmOnly, Strategy::CdmThenAcim]
         {
-            let ex = explain(&q, &ics, strategy);
+            let ex = explain(&q, &ics, strategy, &Guard::unlimited()).unwrap();
             let plain = crate::pipeline::minimize_with(&q, &ics, strategy);
             assert!(
                 isomorphic(&ex.minimized, &plain.pattern),
@@ -302,7 +287,7 @@ mod tests {
             "Articles[/Article//Paragraph]/Article*//Section//Paragraph",
             "Section ->> Paragraph",
         );
-        let ex = explain(&q, &ics, Strategy::CdmThenAcim);
+        let ex = explain(&q, &ics, Strategy::CdmThenAcim, &Guard::unlimited()).unwrap();
         assert_eq!(ex.minimized.size(), 3);
         assert_eq!(ex.deletions.len(), q.size() - ex.minimized.size());
         for d in &ex.deletions {
@@ -326,7 +311,7 @@ mod tests {
             "Articles[/Article//Paragraph]/Article*//Section//Paragraph",
             "Section ->> Paragraph",
         );
-        let ex = explain(&q, &ics, Strategy::AcimOnly);
+        let ex = explain(&q, &ics, Strategy::AcimOnly, &Guard::unlimited()).unwrap();
         let section = tys.lookup("Section").unwrap();
         let paragraph = tys.lookup("Paragraph").unwrap();
         let via_ic = ex.deletions.iter().any(|d| {
@@ -342,7 +327,7 @@ mod tests {
     #[test]
     fn cdm_deletion_cites_the_figure_6_rule() {
         let (q, ics, tys) = setup("Section*//Paragraph", "Section ->> Paragraph");
-        let ex = explain(&q, &ics, Strategy::CdmOnly);
+        let ex = explain(&q, &ics, Strategy::CdmOnly, &Guard::unlimited()).unwrap();
         assert_eq!(ex.minimized.size(), 1);
         assert_eq!(ex.deletions.len(), 1);
         let d = &ex.deletions[0];
@@ -361,7 +346,7 @@ mod tests {
     #[test]
     fn constraint_free_explain_uses_plain_witnesses() {
         let (q, ics, _) = setup("Dept*[//DBProject]//Manager//DBProject", "");
-        let ex = explain(&q, &ics, Strategy::CimOnly);
+        let ex = explain(&q, &ics, Strategy::CimOnly, &Guard::unlimited()).unwrap();
         assert_eq!(ex.minimized.size(), 3);
         assert_eq!(ex.deletions.len(), 1);
         match &ex.deletions[0].reason {
@@ -376,7 +361,7 @@ mod tests {
     #[test]
     fn events_are_scoped_to_the_run_trace() {
         let (q, ics, _) = setup("a*[/b][/b]", "");
-        let ex = explain(&q, &ics, Strategy::CimOnly);
+        let ex = explain(&q, &ics, Strategy::CimOnly, &Guard::unlimited()).unwrap();
         assert!(ex.trace != 0);
         assert!(!ex.events.is_empty());
         assert!(ex.events.iter().all(|e| e.trace == ex.trace));

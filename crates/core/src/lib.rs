@@ -7,19 +7,25 @@
 //!   patterns via containment mappings (Section 4);
 //! * [`cim()`](fn@cim) — **C**onstraint-**I**ndependent **M**inimization: the unique
 //!   minimal equivalent query in the absence of integrity constraints
-//!   (Theorem 4.1), computed by maximal elimination orderings over the
-//!   polynomial redundant-leaf test of Figure 3;
+//!   (Theorem 4.1), computed by a maximal elimination ordering on the
+//!   Section 6.1 engine ([`CimEngine`]), which keeps the images and
+//!   ancestor tables of Figure 3's redundant-leaf test alive across tests
+//!   ([`redundant_leaf`] is the rebuild-per-test reference it is checked
+//!   against);
 //! * [`contains_under()`](fn@contains_under) / [`equivalent_under()`](fn@equivalent_under) — containment and
 //!   equivalence *under* a set of required-child / required-descendant /
 //!   co-occurrence constraints (Section 5);
 //! * [`acim()`](fn@acim) — **A**ugmented CIM: chase-style augmentation with temporary
-//!   nodes, then CIM, then stripping; always yields the unique minimal
-//!   equivalent query under the constraints (Theorem 5.1);
+//!   nodes, then CIM on the same engine, then stripping; always yields the
+//!   unique minimal equivalent query under the constraints (Theorem 5.1);
 //! * [`cdm()`](fn@cdm) — **C**onstraint-**D**ependent **M**inimization: the fast
 //!   local-pruning pass driven by information-content propagation
 //!   (Figures 4 and 6); produces a locally minimal query (Theorem 5.2);
 //! * [`minimize()`](fn@minimize) — the recommended pipeline, CDM as a pre-filter followed
-//!   by ACIM (Theorem 5.3), with per-phase statistics.
+//!   by ACIM (Theorem 5.3), with per-phase statistics;
+//!   [`minimize_closed_guarded()`](fn@minimize_closed_guarded) is the one
+//!   entry point behind every strategy, taking a closed constraint set and
+//!   a [`Guard`](tpq_base::Guard).
 //!
 //! # Example
 //!
@@ -51,11 +57,9 @@
 
 #![warn(missing_docs)]
 
-pub mod acim;
 pub mod batch;
 pub mod cdm;
 pub mod chase;
-pub mod cim;
 pub mod containment;
 pub mod explain;
 pub mod incremental;
@@ -64,34 +68,25 @@ pub mod local;
 pub mod mapping;
 pub mod pipeline;
 pub mod redundant;
-pub mod session;
 pub mod stats;
 
-pub use acim::{acim, acim_closed, acim_closed_guarded, acim_with_stats};
 pub use batch::{
     clear_engine_cache, clear_shared_caches, export_engines, seed_engine, shared_engine,
     BatchMinimizer, BatchOutcome, BatchStats, CachedOutcome, GuardedBatchOutcome,
 };
-pub use cdm::{cdm, cdm_closed, cdm_in_place, cdm_in_place_guarded, cdm_with_stats};
-pub use chase::{augment, augment_guarded, chase};
-pub use cim::{
-    cim, cim_in_place, cim_in_place_guarded, cim_with_order, cim_with_stats, cim_with_stats_guarded,
-};
+pub use cdm::{cdm, cdm_in_place_guarded};
+pub use chase::{augment_guarded, chase};
 pub use containment::{
     contains, contains_guarded, contains_under, contains_under_guarded, equivalent,
     equivalent_guarded, equivalent_under, equivalent_under_guarded,
 };
-pub use explain::{explain, explain_guarded, ChaseFact, Deletion, Explanation, Reason};
-pub use incremental::{
-    acim_incremental_closed, acim_incremental_closed_guarded, cim_incremental,
-    cim_incremental_with_stats, CimEngine,
-};
+pub use explain::{explain, ChaseFact, Deletion, Explanation, Reason};
+pub use incremental::{acim, cim, CimEngine};
 pub use local::locally_redundant_leaves;
 pub use mapping::{has_homomorphism, has_homomorphism_guarded, has_homomorphism_naive};
 pub use pipeline::{
-    clear_closure_cache, export_closures, import_closure, minimize, minimize_with,
-    minimize_with_guarded, MinimizeOutcome, Strategy,
+    clear_closure_cache, export_closures, import_closure, is_minimal, minimize,
+    minimize_closed_guarded, minimize_with, MinimizeOutcome, Strategy,
 };
-pub use redundant::{redundant_leaf, redundant_leaf_guarded};
-pub use session::{is_minimal, minimize_closed, minimize_closed_guarded, Minimizer};
+pub use redundant::{cim_with_order, redundant_leaf};
 pub use stats::MinimizeStats;

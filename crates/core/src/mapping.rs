@@ -30,7 +30,8 @@ use tpq_pattern::{EdgeKind, NodeId, TreePattern};
 /// Pre/post-order index over the alive nodes of a pattern, giving O(1)
 /// proper-ancestor tests. This is the paper's "ancestor/descendant table"
 /// (Section 6.1) for the containment checks and the rebuild-per-test
-/// path; the incremental engine keeps the same table as bitset rows.
+/// reference ([`crate::redundant`]); the incremental engine keeps the
+/// same table as bitset rows.
 #[derive(Debug, Clone)]
 pub struct PatIndex {
     pre: Vec<u32>,

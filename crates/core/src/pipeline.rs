@@ -1,11 +1,22 @@
 //! The end-to-end minimization pipeline (Theorem 5.3): CDM as a fast
 //! pre-filter, then ACIM for global minimality.
+//!
+//! [`minimize_closed_guarded`] is the one entry point every strategy runs
+//! through; the one-shots ([`minimize`], [`minimize_with`] and the
+//! paper-named [`crate::cim()`], [`crate::acim()`], [`crate::cdm()`]) and
+//! the batch engine ([`crate::batch::BatchMinimizer`]) call it. Query
+//! optimizers that minimize many patterns against one schema close the
+//! constraint set once ([`ConstraintSet::closure`]) and pass it to every
+//! call, or use a `BatchMinimizer`, which also memoizes results.
 
+use crate::cdm::cdm_in_place_guarded;
+use crate::incremental::acim_stage;
 use crate::stats::MinimizeStats;
 use std::sync::{Arc, Mutex, OnceLock};
-use tpq_base::{Guard, Result};
+use std::time::Instant;
+use tpq_base::{BudgetResource, Error, Guard, Result};
 use tpq_constraints::ConstraintSet;
-use tpq_pattern::TreePattern;
+use tpq_pattern::{isomorphic, TreePattern};
 
 /// Which algorithm(s) [`minimize_with`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -71,27 +82,87 @@ pub fn minimize(q: &TreePattern, ics: &ConstraintSet) -> MinimizeOutcome {
 
 /// Minimize `q` under `ics` with an explicit [`Strategy`].
 ///
-/// One-shot convenience over [`crate::session::Minimizer`]. Repeated calls
+/// One-shot convenience over [`minimize_closed_guarded`]. Repeated calls
 /// against the same constraint set do **not** recompute the quadratic
 /// closure: a small process-wide cache maps recently seen sets to their
 /// closures (the `closure.cache.hit` / `closure.recomputed` counters
-/// report its behavior). For heavy many-query workloads, prefer a
-/// [`crate::session::Minimizer`] or [`crate::batch::BatchMinimizer`],
-/// which also skip the set-equality probe.
+/// report its behavior). For heavy many-query workloads, close the set
+/// once and call [`minimize_closed_guarded`], or use a
+/// [`crate::batch::BatchMinimizer`]; both also skip the set-equality
+/// probe.
 pub fn minimize_with(q: &TreePattern, ics: &ConstraintSet, strategy: Strategy) -> MinimizeOutcome {
-    crate::session::minimize_closed(q, &cached_closure(ics), strategy)
+    minimize_unlimited(q, &cached_closure(ics), strategy)
 }
 
-/// [`minimize_with`] under a [`Guard`]: same closure caching, but the
-/// run is subject to the guard's deadline / step budget / cancellation
-/// and returns [`Err`] (with the input untouched) when it trips.
-pub fn minimize_with_guarded(
+/// [`minimize_closed_guarded`] without limits, for the infallible
+/// one-shots.
+pub(crate) fn minimize_unlimited(
     q: &TreePattern,
-    ics: &ConstraintSet,
+    closed: &ConstraintSet,
+    strategy: Strategy,
+) -> MinimizeOutcome {
+    minimize_closed_guarded(q, closed, strategy, &Guard::unlimited())
+        .expect("unlimited guard cannot trip and no failpoint is armed")
+}
+
+/// Minimize `q` under an **already closed** constraint set with the given
+/// strategy — the closure is never recomputed here, so pass only sets
+/// produced by [`ConstraintSet::closure`] (an unclosed set silently
+/// under-minimizes).
+///
+/// The guard is threaded through every stage (CDM sweeps, chase steps,
+/// table builds, redundancy tests). On a tripped guard the input is
+/// untouched — every stage works on an internal clone — and the error
+/// reports which resource ran out. Budget trips also bump the
+/// `guard.timeout` / `guard.budget` / `guard.cancel` observability
+/// counters. [`Strategy::CimOnly`] ignores `closed`: CIM is ACIM under the
+/// empty constraint set, so it runs the same engine without the chase.
+pub fn minimize_closed_guarded(
+    q: &TreePattern,
+    closed: &ConstraintSet,
     strategy: Strategy,
     guard: &Guard,
 ) -> Result<MinimizeOutcome> {
-    crate::session::minimize_closed_guarded(q, &cached_closure(ics), strategy, guard)
+    let _span = tpq_obs::span!("minimize");
+    let mut stats = MinimizeStats::default();
+    let t0 = Instant::now();
+    let mut run = || -> Result<TreePattern> {
+        let mut work = q.clone();
+        if matches!(strategy, Strategy::CdmOnly | Strategy::CdmThenAcim) {
+            cdm_in_place_guarded(&mut work, closed, &mut stats, guard)?;
+            work = work.compact().0;
+        }
+        Ok(match strategy {
+            Strategy::CdmOnly => work,
+            Strategy::CimOnly => acim_stage(work, None, &mut stats, guard)?.compact().0,
+            Strategy::AcimOnly | Strategy::CdmThenAcim => {
+                acim_stage(work, Some(closed), &mut stats, guard)?.compact().0
+            }
+        })
+    };
+    let pattern = run().inspect_err(note_budget_trip)?;
+    stats.total_time = t0.elapsed();
+    Ok(MinimizeOutcome { pattern, stats })
+}
+
+/// Record a budget trip on the observability counters (the base crate
+/// cannot depend on `tpq-obs`, so the counters are bumped where the
+/// errors surface).
+pub(crate) fn note_budget_trip(e: &Error) {
+    if let Error::Budget { resource, .. } = e {
+        let name = match resource {
+            BudgetResource::Deadline => "guard.timeout",
+            BudgetResource::Steps => "guard.budget",
+            BudgetResource::Cancelled => "guard.cancel",
+        };
+        tpq_obs::incr(name, 1);
+    }
+}
+
+/// Is `q` minimal in the absence of constraints? (Theorem 4.1.)
+pub fn is_minimal(q: &TreePattern) -> bool {
+    let m = crate::incremental::cim(q);
+    m.size() == q.size() && isomorphic(&m, q)
 }
 
 /// Entries kept in the process-wide closure cache. Sets are compared by
@@ -225,6 +296,64 @@ mod tests {
         let out = minimize(&q, &ics);
         assert!(out.stats.total_time >= out.stats.tables_time);
         assert!(out.stats.total_removed() >= 1);
+    }
+
+    /// Minimize under an already closed set, as a query optimizer does for
+    /// many queries against one schema.
+    fn closed_run(q: &TreePattern, closed: &ConstraintSet, strategy: Strategy) -> TreePattern {
+        minimize_closed_guarded(q, closed, strategy, &Guard::unlimited()).unwrap().pattern
+    }
+
+    #[test]
+    fn one_closure_serves_many_queries() {
+        let mut tys = TypeInterner::new();
+        let closed = parse_constraints("Article -> Title\nSection ->> Paragraph", &mut tys)
+            .unwrap()
+            .closure();
+        let cases = [
+            ("Articles/Article*[/Title]//Section//Paragraph", 3),
+            ("Article*[/Title]", 1),
+            ("Article*//Section", 2),
+            ("Section*//Paragraph", 1),
+        ];
+        for (src, want) in cases {
+            let q = parse_pattern(src, &mut tys).unwrap();
+            let m = closed_run(&q, &closed, Strategy::default());
+            assert_eq!(m.size(), want, "{src}");
+            assert!(equivalent_under(&q, &m, &closed), "{src}");
+        }
+    }
+
+    #[test]
+    fn minimality_checks() {
+        let mut tys = TypeInterner::new();
+        let closed = parse_constraints("Article -> Title", &mut tys).unwrap().closure();
+        // Under constraints, a minimal query is its own minimization.
+        let minimal = parse_pattern("Article*//Section", &mut tys).unwrap();
+        let redundant = parse_pattern("Article*[/Title]//Section", &mut tys).unwrap();
+        assert!(isomorphic(&closed_run(&minimal, &closed, Strategy::default()), &minimal));
+        assert_eq!(closed_run(&redundant, &closed, Strategy::default()).size(), 2);
+        // Constraint-free minimality.
+        let q = parse_pattern("a*[//b]//b//c", &mut tys).unwrap();
+        assert!(!is_minimal(&q));
+        assert!(is_minimal(&crate::incremental::cim(&q)));
+        assert!(is_minimal(&redundant), "Title is redundant only under the IC");
+    }
+
+    #[test]
+    fn strategies_share_one_closed_set() {
+        let mut tys = TypeInterner::new();
+        let closed = parse_constraints("a -> b", &mut tys).unwrap().closure();
+        let q = parse_pattern("a*[/b][/c]", &mut tys).unwrap();
+        for strategy in
+            [Strategy::CimOnly, Strategy::AcimOnly, Strategy::CdmOnly, Strategy::CdmThenAcim]
+        {
+            let m = closed_run(&q, &closed, strategy);
+            match strategy {
+                Strategy::CimOnly => assert_eq!(m.size(), 3, "CIM ignores ICs"),
+                _ => assert_eq!(m.size(), 2),
+            }
+        }
     }
 
     #[test]

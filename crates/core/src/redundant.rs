@@ -1,4 +1,5 @@
-//! The redundant-leaf test — Figure 3 of the paper.
+//! The reference implementation: the redundant-leaf test of Figure 3 and
+//! a MEO loop over it.
 //!
 //! A node of a query is redundant iff there is an endomorphism on the query
 //! that is not the identity on it (Proposition 4.1). For a *leaf* `l`,
@@ -7,18 +8,23 @@
 //! `l`, initialize `images(v)` for every other node to all compatible
 //! nodes, prune bottom-up, and test `images(root)` for non-emptiness.
 //!
-//! The implementation follows Figure 3's enhancements: images are pruned
+//! [`redundant_leaf`] follows Figure 3's enhancements: images are pruned
 //! only along the ancestor chain of `l` (each ancestor's other subtrees are
 //! minimized once, on demand, and marked), and the walk up exits early when
 //! `images(v) = ∅` (leaf not redundant — no embedding of `v`'s subtree
 //! exists at all) or `v ∈ images(v)` (leaf redundant — the identity extends
-//! upward from `v`).
+//! upward from `v`). It rebuilds its tables for every test.
+//!
+//! Production minimization runs the incremental engine
+//! ([`crate::incremental::CimEngine`]), which keeps the tables alive across
+//! tests (Section 6.1). This module is the oracle it is checked against:
+//! the differential tests compare the engine with [`cim_with_order`], and
+//! Theorem 4.1's order-independence is tested by running that loop under
+//! different candidate orders.
 
 use crate::mapping::{node_compatible, original_children, prune_node, PatIndex};
-use crate::stats::MinimizeStats;
-use std::time::Instant;
-use tpq_base::{Guard, Result};
-use tpq_pattern::{EdgeKind, NodeId, TreePattern};
+use tpq_base::FxHashSet;
+use tpq_pattern::{NodeId, TreePattern};
 
 /// Is the alive leaf `l` of `q` redundant?
 ///
@@ -32,39 +38,6 @@ use tpq_pattern::{EdgeKind, NodeId, TreePattern};
 /// Panics (debug) if `l` is not an alive original leaf or is the output
 /// node.
 pub fn redundant_leaf(q: &TreePattern, l: NodeId) -> bool {
-    redundant_leaf_with_stats(q, l, &mut MinimizeStats::default())
-}
-
-/// [`redundant_leaf`] with table-construction time accounting (Figure 7(b)
-/// separates "tables time" from total minimization time).
-pub fn redundant_leaf_with_stats(q: &TreePattern, l: NodeId, stats: &mut MinimizeStats) -> bool {
-    redundant_leaf_guarded(q, l, stats, &Guard::unlimited()).expect("unlimited guard cannot trip")
-}
-
-/// [`redundant_leaf_with_stats`] under a [`Guard`]: spends one step per
-/// candidate image considered during table construction and one per
-/// ancestor pruned on the walk up. A tripped guard aborts the test with
-/// [`Err`] — the query is untouched (the test is read-only).
-pub fn redundant_leaf_guarded(
-    q: &TreePattern,
-    l: NodeId,
-    stats: &mut MinimizeStats,
-    guard: &Guard,
-) -> Result<bool> {
-    redundant_leaf_witness_guarded(q, l, stats, guard).map(|w| w.is_some())
-}
-
-/// [`redundant_leaf_guarded`], additionally returning the node `l` maps
-/// onto under one witnessing endomorphism (`None` = not redundant). The
-/// witness may be a *temporary* node: that is exactly how ACIM's
-/// IC-implied temps justify removals, and `tpq explain` resolves such a
-/// witness back to the chase step that created it.
-pub fn redundant_leaf_witness_guarded(
-    q: &TreePattern,
-    l: NodeId,
-    stats: &mut MinimizeStats,
-    guard: &Guard,
-) -> Result<Option<NodeId>> {
     debug_assert!(
         q.is_alive(l) && !q.node(l).temporary && original_children(q, l).is_empty(),
         "l must be an alive original leaf"
@@ -72,94 +45,49 @@ pub fn redundant_leaf_witness_guarded(
     debug_assert!(l != q.output(), "the output node is never tested");
     debug_assert!(l != q.root(), "the root is never tested");
 
-    // --- Table construction (timed): ancestor/descendant table + images. ---
-    // Images are keyed by original (non-temporary) nodes — the
-    // homomorphism domain. Targets include temporary nodes: that is how
-    // ACIM's augmentation makes IC-implied leaves removable.
-    let tables_span = tpq_obs::span!("acim.tables");
-    let t0 = Instant::now();
+    // Ancestor/descendant table plus images. Images are keyed by original
+    // (non-temporary) nodes — the homomorphism domain. Targets include
+    // temporary nodes: that is how ACIM's augmentation makes IC-implied
+    // leaves removable.
     let index = PatIndex::build(q);
     let targets: Vec<NodeId> = q.alive_ids().collect();
     let originals: Vec<NodeId> = q.alive_ids().filter(|&v| !q.node(v).temporary).collect();
     let mut images: Vec<Vec<NodeId>> = vec![Vec::new(); q.arena_len()];
     for &v in &originals {
-        guard.spend(targets.len() as u64)?;
         images[v.index()] = targets
             .iter()
             .copied()
             .filter(|&u| !(v == l && u == l) && node_compatible(q, v, q, u))
             .collect();
     }
-    stats.tables_time += t0.elapsed();
-    drop(tables_span);
 
     // If no candidate exists for l at all, it cannot move anywhere.
     if images[l.index()].is_empty() {
-        return Ok(None);
+        return false;
     }
 
-    // --- Walk up from l, minimizing images on demand (Figure 3). ---
-    let _scan_span = tpq_obs::span!("acim.scan");
+    // Walk up from l, minimizing images on demand (Figure 3). All
+    // (original-children-free) leaves start marked: their images need no
+    // pruning.
     let mut marked = vec![false; q.arena_len()];
-    marked[l.index()] = true;
-    // All (original-children-free) leaves start marked: their images need
-    // no pruning.
     for &v in &originals {
         if original_children(q, v).is_empty() {
             marked[v.index()] = true;
         }
     }
-    // The chain below the current ancestor, for witness extraction.
-    let mut below = vec![l];
     for v in q.ancestors(l) {
-        guard.check()?;
         minimize_images(q, &index, v, &mut images, &mut marked);
         if images[v.index()].is_empty() {
-            return Ok(None);
+            return false;
         }
         if images[v.index()].contains(&v) {
-            return Ok(Some(descend_witness(q, &index, &below, v, &images)));
+            return true;
         }
-        below.push(v);
     }
     // Unreachable in theory (at the root one of the two tests above fires:
     // any endomorphism fixes the root, so a non-empty pruned images(root)
     // contains the root); kept as a safe fallback.
-    below.pop(); // the root, whose image is chosen directly
-    match images[q.root().index()].first().copied() {
-        Some(top) => Ok(Some(descend_witness(q, &index, &below, top, &images))),
-        None => Ok(None),
-    }
-}
-
-/// Extract `l`'s image under one witnessing endomorphism by walking the
-/// ancestor chain back down from the node that mapped to `top`, greedily
-/// choosing edge-compatible candidates. `below` is the chain
-/// `[l, a1, …, ak]` strictly below that node, leaf first. The greedy
-/// choice is sound by `prune_node`'s invariant: a surviving parent image
-/// has an edge-compatible candidate in every child's pruned set, and each
-/// such candidate certifies its whole subtree.
-fn descend_witness(
-    q: &TreePattern,
-    index: &PatIndex,
-    below: &[NodeId],
-    top: NodeId,
-    images: &[Vec<NodeId>],
-) -> NodeId {
-    let mut image = top;
-    for &p in below.iter().rev() {
-        image = images[p.index()]
-            .iter()
-            .copied()
-            .find(|&u| match q.node(p).edge {
-                EdgeKind::Child => {
-                    q.node(u).edge == EdgeKind::Child && q.node(u).parent == Some(image)
-                }
-                EdgeKind::Descendant => index.is_proper_ancestor(image, u),
-            })
-            .expect("surviving parent image has an edge-compatible child candidate");
-    }
-    image
+    !images[q.root().index()].is_empty()
 }
 
 /// `minimize-images` of Figure 3: ensure every descendant's images are
@@ -185,6 +113,60 @@ fn minimize_images(
     }
     prune_node(q, q, index, v, images);
     marked[v.index()] = true;
+}
+
+/// CIM by a maximal elimination ordering over [`redundant_leaf`], testing
+/// the candidate leaves in the order `priority` returns and collecting
+/// them afresh after every removal. Returns the compacted result.
+///
+/// Candidates are the original leaves other than the root and the output
+/// node; a leaf once found non-redundant is never re-tested (deleting
+/// other leaves cannot make it redundant, Figure 3's enhancement (1)).
+/// Removing a leaf also removes the temporary children augmentation hung
+/// under it, so on an augmented pattern this is ACIM's CIM phase; strip
+/// the temporaries from the result to finish ACIM.
+pub fn cim_with_order<F>(q: &TreePattern, mut priority: F) -> TreePattern
+where
+    F: FnMut(&TreePattern, &[NodeId]) -> Vec<NodeId>,
+{
+    let mut work = q.clone();
+    let mut non_redundant: FxHashSet<NodeId> = FxHashSet::default();
+    loop {
+        let candidates: Vec<NodeId> = work
+            .alive_ids()
+            .filter(|&l| {
+                !work.node(l).temporary
+                    && original_children(&work, l).is_empty()
+                    && l != work.root()
+                    && l != work.output()
+                    && !non_redundant.contains(&l)
+            })
+            .collect();
+        if candidates.is_empty() {
+            break;
+        }
+        let mut progress = false;
+        for l in priority(&work, &candidates) {
+            if !work.is_alive(l) || !original_children(&work, l).is_empty() {
+                continue;
+            }
+            if redundant_leaf(&work, l) {
+                let temps: Vec<NodeId> =
+                    work.node(l).children.iter().copied().filter(|&c| work.is_alive(c)).collect();
+                for t in temps {
+                    work.remove_subtree(t).expect("temp subtree is removable");
+                }
+                work.remove_leaf(l).expect("candidate is a removable leaf");
+                progress = true;
+                break;
+            }
+            non_redundant.insert(l);
+        }
+        if !progress {
+            break;
+        }
+    }
+    work.compact().0
 }
 
 #[cfg(test)]
@@ -335,17 +317,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn stats_accumulate_table_time() {
-        let mut tys = TypeInterner::new();
-        let q = p("a*[//b][//b]", &mut tys);
-        let mut stats = MinimizeStats::default();
-        let l = q.node(q.root()).children[0];
-        let _ = redundant_leaf_with_stats(&q, l, &mut stats);
-        // tables_time was written (may round to zero on coarse clocks, but
-        // the counter must exist and not panic).
-        let _ = stats.tables_time;
     }
 }

@@ -38,7 +38,7 @@ fn warm(query: &str, constraints: &str) -> (tpq_constraints::ConstraintSet, Stri
     // populates the shared-engine LRU and its canonical-pattern memo.
     let one_shot = tpq_core::minimize(&q, &ics).pattern;
     let engine = shared_engine(&ics, Strategy::default());
-    let cached = engine.minimize(&q);
+    let cached = engine.minimize_cached_guarded(&q, &tpq_base::Guard::unlimited()).unwrap().pattern;
     let types = global_types().lock().unwrap();
     assert_eq!(
         tpq_pattern::print::to_dsl(&one_shot, &types),

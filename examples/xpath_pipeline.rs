@@ -1,7 +1,7 @@
 //! An end-to-end "query optimizer session" over XPath with value
 //! conditions (the paper's Section 7 extension):
 //!
-//! 1. build a [`Minimizer`] once from the catalog schema;
+//! 1. infer the catalog schema's closed constraint set once;
 //! 2. accept XPath queries with attribute predicates;
 //! 3. minimize each, show the rewrite, and run both against a catalog to
 //!    confirm the answers agree while the minimized query does less work.
@@ -9,7 +9,7 @@
 //! Run with `cargo run --example xpath_pipeline`.
 
 use tpq::constraints::Schema;
-use tpq::core::session::Minimizer;
+use tpq::core::{minimize_closed_guarded, Strategy};
 use tpq::matching::count_embeddings;
 use tpq::pattern::parse_xpath;
 use tpq::prelude::*;
@@ -23,7 +23,8 @@ fn main() -> Result<()> {
          element Author = LastName",
         &mut types,
     )?;
-    let minimizer = Minimizer::new(&schema.infer_closed());
+    // Closed once, shared by every query below.
+    let closed = schema.infer_closed();
 
     let catalog = parse_xml(
         r#"<Catalog>
@@ -53,7 +54,7 @@ fn main() -> Result<()> {
 
     for src in queries {
         let q = parse_xpath(src, &mut types)?;
-        let out = minimizer.minimize(&q);
+        let out = minimize_closed_guarded(&q, &closed, Strategy::default(), &Guard::unlimited())?;
         println!("XPath : {src}");
         println!("parsed: {}", to_dsl(&q, &types));
         println!(
@@ -62,8 +63,15 @@ fn main() -> Result<()> {
             out.pattern.size(),
             to_dsl(&out.pattern, &types)
         );
-        assert!(minimizer.equivalent(&q, &out.pattern));
-        assert!(minimizer.is_minimal(&out.pattern));
+        assert!(equivalent_under(&q, &out.pattern, &closed));
+        // Minimal queries are unique (Theorem 5.1): a second pass is a no-op.
+        let again = minimize_closed_guarded(
+            &out.pattern,
+            &closed,
+            Strategy::default(),
+            &Guard::unlimited(),
+        )?;
+        assert!(isomorphic(&again.pattern, &out.pattern));
 
         let mut before = answer_set(&q, &catalog);
         let mut after = answer_set(&out.pattern, &catalog);

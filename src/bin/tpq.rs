@@ -67,7 +67,7 @@
 
 use std::process::ExitCode;
 use tpq::constraints::Schema;
-use tpq::core::{minimize_with_guarded, Strategy};
+use tpq::core::{minimize_closed_guarded, Strategy};
 use tpq::prelude::*;
 
 fn main() -> ExitCode {
@@ -356,7 +356,8 @@ fn cmd_minimize(args: &[String]) -> Result2<()> {
     let guard = parse_guard(&opts)?;
     let query = parse_query(&opts, &mut types)?;
     let ics = gather_constraints(&opts, &mut types)?;
-    let out = minimize_with_guarded(&query, &ics, strategy, &guard).map_err(|e| e.to_string())?;
+    let out = minimize_closed_guarded(&query, &ics.closure(), strategy, &guard)
+        .map_err(|e| e.to_string())?;
     println!("{}", to_dsl(&out.pattern, &types));
     if opts.flag("tree") {
         eprintln!("\n{}", to_tree_string(&out.pattern, &types));
@@ -405,8 +406,7 @@ fn cmd_explain(args: &[String]) -> Result2<()> {
     let guard = parse_guard(&opts)?;
     let query = parse_query(&opts, &mut types)?;
     let ics = gather_constraints(&opts, &mut types)?;
-    let ex =
-        tpq::core::explain_guarded(&query, &ics, strategy, &guard).map_err(|e| e.to_string())?;
+    let ex = tpq::core::explain(&query, &ics, strategy, &guard).map_err(|e| e.to_string())?;
     println!("{}", to_dsl(&ex.minimized, &types));
     println!(
         "{} nodes -> {} ({} deleted) | trace {}",

@@ -1,10 +1,10 @@
 //! Differential and determinism tests for the parallel batch engine:
-//! `BatchMinimizer` must agree with the sequential `Minimizer` on every
-//! query (up to isomorphism — minimal queries are unique only up to
+//! `BatchMinimizer` must agree with sequential `minimize_closed_guarded`
+//! calls on every query (up to isomorphism — minimal queries are unique only up to
 //! isomorphism, Theorem 5.1), for every strategy and every worker count,
 //! and its output must not depend on the worker count at all.
 
-use tpq::core::{BatchMinimizer, Minimizer, Strategy};
+use tpq::core::{minimize_closed_guarded, BatchMinimizer, Strategy};
 use tpq::prelude::*;
 use tpq_workload::{random_constraints, random_pattern, ConstraintSpec, PatternSpec};
 
@@ -49,10 +49,13 @@ fn workload() -> (Vec<TreePattern>, ConstraintSet) {
 #[test]
 fn batch_agrees_with_sequential_for_every_strategy_and_job_count() {
     let (queries, ics) = workload();
+    let closed = ics.closure();
     for strategy in STRATEGIES {
-        let sequential = Minimizer::with_strategy(&ics, strategy);
-        let expected: Vec<TreePattern> =
-            queries.iter().map(|q| sequential.minimize(q).pattern).collect();
+        let expected: Vec<TreePattern> = queries
+            .iter()
+            .map(|q| minimize_closed_guarded(q, &closed, strategy, &Guard::unlimited()).unwrap())
+            .map(|out| out.pattern)
+            .collect();
         for jobs in 1..=8 {
             let engine = BatchMinimizer::with_strategy(&ics, strategy);
             let out = engine.minimize_batch(&queries, jobs);

@@ -4,10 +4,13 @@
 //! `tpq-workload` generators under explicit seed loops, so every failure
 //! message names the seed that reproduces it.
 
+use tpq::base::Guard;
 use tpq::base::SmallRng;
+use tpq::constraints::ConstraintSet;
 use tpq::core::{
-    cdm, cim, cim_with_order, equivalent, equivalent_under, has_homomorphism,
-    has_homomorphism_naive, locally_redundant_leaves, minimize_with, Strategy,
+    augment_guarded, cdm, chase::present_types, cim, cim_with_order, equivalent, equivalent_under,
+    has_homomorphism, has_homomorphism_naive, locally_redundant_leaves, minimize_closed_guarded,
+    minimize_with, MinimizeOutcome, MinimizeStats, Strategy,
 };
 use tpq::matching::{answer_set, answer_set_naive};
 use tpq::pattern::{isomorphic, TreePattern};
@@ -74,6 +77,37 @@ fn cim_idempotent() {
     }
 }
 
+/// The rebuild-per-test oracle: `cim_with_order` in arena order.
+fn rebuilding_cim(q: &TreePattern) -> TreePattern {
+    cim_with_order(q, |_, cands| cands.to_vec())
+}
+
+/// The ACIM oracle: augment under `closed`, run the rebuild-per-test MEO
+/// loop, strip the temporaries. Also returns the number of original nodes
+/// it removed.
+fn rebuilding_acim(q: &TreePattern, closed: &ConstraintSet) -> (TreePattern, usize) {
+    let mut work = q.clone();
+    let allowed = present_types(&work);
+    augment_guarded(
+        &mut work,
+        closed,
+        &allowed,
+        &mut MinimizeStats::default(),
+        &Guard::unlimited(),
+    )
+    .unwrap();
+    let mut out = rebuilding_cim(&work);
+    out.strip_temporaries();
+    let out = out.compact().0;
+    let removed = q.size() - out.size();
+    (out, removed)
+}
+
+/// The engine's ACIM under an already closed set.
+fn engine_acim(q: &TreePattern, closed: &ConstraintSet) -> MinimizeOutcome {
+    minimize_closed_guarded(q, closed, Strategy::AcimOnly, &Guard::unlimited()).unwrap()
+}
+
 /// The incremental engine (Section 6.1 implementation) computes the same
 /// minimum as the rebuild-per-test implementation.
 #[test]
@@ -81,8 +115,8 @@ fn incremental_engine_matches_rebuilding() {
     for case in 0..CASES {
         let mut r = case_rng(4, case);
         let q = pattern(case, r.gen_range(1..14usize), 3);
-        let inc = tpq::core::cim_incremental(&q);
-        let reb = cim(&q);
+        let inc = cim(&q);
+        let reb = rebuilding_cim(&q);
         assert!(
             isomorphic(&inc, &reb),
             "incremental {} vs rebuilding {} (case {case})",
@@ -114,16 +148,15 @@ fn incremental_acim_matches_rebuilding_over(ic_types: usize) {
         let ics =
             random_constraints(&ConstraintSpec { count, num_types: ic_types, seed: case << 8 });
         let closed = ics.closure();
-        let mut s1 = tpq::core::MinimizeStats::default();
-        let mut s2 = tpq::core::MinimizeStats::default();
-        let inc = tpq::core::acim_incremental_closed(&q, &closed, &mut s1);
-        let reb = tpq::core::acim_closed(&q, &closed, &mut s2);
+        let inc = engine_acim(&q, &closed);
+        let (reb, reb_removed) = rebuilding_acim(&q, &closed);
         assert!(
-            isomorphic(&inc, &reb),
+            isomorphic(&inc.pattern, &reb),
             "incremental {} vs rebuilding {} (case {case})",
-            inc.size(),
+            inc.pattern.size(),
             reb.size()
         );
+        assert_eq!(inc.stats.cim_removed, reb_removed, "case {case}");
     }
 }
 
@@ -422,19 +455,17 @@ fn incremental_acim_matches_rebuilding_on_multiword_arenas() {
         let count = r.gen_range(24..60usize);
         let ics = random_constraints(&ConstraintSpec { count, num_types: 8, seed: case << 8 });
         let closed = ics.closure();
-        let mut s1 = tpq::core::MinimizeStats::default();
-        let mut s2 = tpq::core::MinimizeStats::default();
-        let inc = tpq::core::acim_incremental_closed(&q, &closed, &mut s1);
-        let reb = tpq::core::acim_closed(&q, &closed, &mut s2);
+        let inc = engine_acim(&q, &closed);
+        let (reb, reb_removed) = rebuilding_acim(&q, &closed);
         assert!(
-            isomorphic(&inc, &reb),
+            isomorphic(&inc.pattern, &reb),
             "incremental {} vs rebuilding {} (case {case})",
-            inc.size(),
+            inc.pattern.size(),
             reb.size()
         );
-        assert_eq!(s1.cim_removed, s2.cim_removed, "case {case}");
-        arenas.push(q.arena_len() + s1.augment_nodes_added);
-        removed += s1.cim_removed;
+        assert_eq!(inc.stats.cim_removed, reb_removed, "case {case}");
+        arenas.push(q.arena_len() + inc.stats.augment_nodes_added);
+        removed += inc.stats.cim_removed;
     }
     let (min, max) = (arenas.iter().min().unwrap(), arenas.iter().max().unwrap());
     assert!(*min > 64 && *max > 128, "arenas span {min}..={max} nodes: fewer than 2–3 words");

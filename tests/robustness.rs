@@ -16,7 +16,7 @@
 
 use tpq::base::failpoint::{self, Action};
 use tpq::base::BudgetResource;
-use tpq::core::{BatchMinimizer, Minimizer, Strategy};
+use tpq::core::{minimize_closed_guarded, BatchMinimizer, Strategy};
 use tpq::matching::Matcher;
 use tpq::prelude::*;
 use tpq_workload::{random_constraints, random_pattern, ConstraintSpec, PatternSpec};
@@ -38,12 +38,11 @@ fn some_constraints() -> ConstraintSet {
 #[test]
 fn every_strategy_honors_an_expired_deadline() {
     let q = big_pattern(1);
-    let ics = some_constraints();
+    let closed = some_constraints().closure();
     let guard = Guard::with_deadline_ms(0);
     std::thread::sleep(std::time::Duration::from_millis(2));
     for strategy in STRATEGIES {
-        let mini = Minimizer::with_strategy(&ics, strategy);
-        let err = mini.minimize_guarded(&q, &guard).unwrap_err();
+        let err = minimize_closed_guarded(&q, &closed, strategy, &guard).unwrap_err();
         assert!(
             matches!(err, Error::Budget { resource: BudgetResource::Deadline, .. }),
             "{strategy:?}: {err}"
@@ -63,10 +62,11 @@ fn pathological_pattern_trips_a_short_deadline_instead_of_hanging() {
         max_fanout: 3,
         seed: 11,
     });
-    let ics = some_constraints();
-    let mini = Minimizer::new(&ics);
+    let closed = some_constraints().closure();
     let t0 = std::time::Instant::now();
-    let err = mini.minimize_guarded(&q, &Guard::with_deadline_ms(1)).unwrap_err();
+    let err =
+        minimize_closed_guarded(&q, &closed, Strategy::default(), &Guard::with_deadline_ms(1))
+            .unwrap_err();
     assert!(err.is_budget(), "{err}");
     assert!(
         t0.elapsed() < std::time::Duration::from_secs(10),
@@ -78,12 +78,17 @@ fn pathological_pattern_trips_a_short_deadline_instead_of_hanging() {
 #[test]
 fn every_strategy_honors_a_step_budget() {
     let q = big_pattern(2);
-    let ics = some_constraints();
+    let closed = some_constraints().closure();
     for strategy in STRATEGIES {
-        let mini = Minimizer::with_strategy(&ics, strategy);
-        // Unlimited succeeds; a 5-step allowance cannot.
-        assert!(mini.minimize_guarded(&q, &Guard::unlimited()).is_ok(), "{strategy:?}");
-        let err = mini.minimize_guarded(&q, &Guard::with_budget(5)).unwrap_err();
+        // Unlimited succeeds; a 5-step allowance cannot. Both are fresh
+        // runs: a memoizing engine would answer the second from its memo
+        // and hide the trip.
+        assert!(
+            minimize_closed_guarded(&q, &closed, strategy, &Guard::unlimited()).is_ok(),
+            "{strategy:?}"
+        );
+        let err =
+            minimize_closed_guarded(&q, &closed, strategy, &Guard::with_budget(5)).unwrap_err();
         assert!(
             matches!(err, Error::Budget { resource: BudgetResource::Steps, .. }),
             "{strategy:?}: {err}"
@@ -93,18 +98,21 @@ fn every_strategy_honors_a_step_budget() {
 
 #[test]
 fn cancellation_from_another_thread_interrupts_minimization() {
-    let ics = some_constraints();
-    let mini = Minimizer::new(&ics);
+    let closed = some_constraints().closure();
     let guard = Guard::cancellable();
     let worker = {
         let guard = guard.clone();
-        let mini = mini.clone();
         std::thread::spawn(move || {
             // Keep minimizing fresh patterns until the guard kills one.
             let mut seed = 100;
             loop {
                 seed += 1;
-                if let Err(e) = mini.minimize_guarded(&big_pattern(seed), &guard) {
+                if let Err(e) = minimize_closed_guarded(
+                    &big_pattern(seed),
+                    &closed,
+                    Strategy::default(),
+                    &guard,
+                ) {
                     return e;
                 }
             }
@@ -122,7 +130,7 @@ fn cancellation_from_another_thread_interrupts_minimization() {
 /// non-equivalent pattern, for any strategy and any interruption point.
 #[test]
 fn interrupted_minimization_is_never_wrong() {
-    let ics = some_constraints();
+    let closed = some_constraints().closure();
     for seed in 0..6u64 {
         let q = random_pattern(&PatternSpec {
             nodes: 12,
@@ -132,16 +140,15 @@ fn interrupted_minimization_is_never_wrong() {
             seed,
         });
         for strategy in STRATEGIES {
-            let mini = Minimizer::with_strategy(&ics, strategy);
             // Sweep budgets from "trips immediately" to "never trips",
             // interrupting the pipeline at many different points.
             for budget in [1u64, 3, 10, 30, 100, 300, 1000, 10_000, 1_000_000] {
                 let before = q.clone();
-                match mini.minimize_guarded(&q, &Guard::with_budget(budget)) {
+                match minimize_closed_guarded(&q, &closed, strategy, &Guard::with_budget(budget)) {
                     Err(e) => assert!(e.is_budget(), "{strategy:?} budget={budget}: {e}"),
                     Ok(out) => {
                         assert!(
-                            mini.equivalent(&q, &out.pattern),
+                            equivalent_under(&q, &out.pattern, &closed),
                             "{strategy:?} budget={budget}: non-equivalent result"
                         );
                     }
@@ -187,13 +194,13 @@ fn guarded_matchers_honor_budgets() {
 fn chase_failpoint_surfaces_as_an_injected_error() {
     let _fp = failpoint::arm_for_thread("chase.step", Action::Err, 1);
     let mut tys = TypeInterner::new();
-    let ics = parse_constraints("a -> b", &mut tys).unwrap();
+    let closed = parse_constraints("a -> b", &mut tys).unwrap().closure();
     let q = parse_pattern("a*[/b][/c]", &mut tys).unwrap();
-    let mini = Minimizer::new(&ics);
-    let err = mini.minimize_guarded(&q, &Guard::unlimited()).unwrap_err();
+    let err =
+        minimize_closed_guarded(&q, &closed, Strategy::default(), &Guard::unlimited()).unwrap_err();
     assert_eq!(err, Error::Injected { point: "chase.step".into() });
     // One-shot: the very next run is clean.
-    assert!(mini.minimize_guarded(&q, &Guard::unlimited()).is_ok());
+    assert!(minimize_closed_guarded(&q, &closed, Strategy::default(), &Guard::unlimited()).is_ok());
 }
 
 #[test]
@@ -221,7 +228,7 @@ fn mid_chase_panic_inside_the_batch_is_isolated() {
     }
     assert_eq!(out.stats.panics, 1);
     // The engine still works afterwards.
-    assert!(engine.minimize_guarded(&queries[failed], &Guard::unlimited()).is_ok());
+    assert!(engine.minimize_cached_guarded(&queries[failed], &Guard::unlimited()).is_ok());
 }
 
 #[test]
@@ -266,7 +273,7 @@ fn batch_under_budget_pressure_completes_cached_work() {
     let engine = BatchMinimizer::new(&ics);
     let warm = parse_pattern("a*[/b][/c]", &mut tys).unwrap();
     let cold = parse_pattern("d*[/e][/f]", &mut tys).unwrap();
-    let warmed = engine.minimize(&warm);
+    let warmed = engine.minimize_cached_guarded(&warm, &Guard::unlimited()).unwrap().pattern;
     let guard = Guard::cancellable();
     guard.cancel();
     let out = engine.minimize_batch_guarded(&[warm, cold], 2, &guard);
