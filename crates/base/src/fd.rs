@@ -5,8 +5,8 @@
 //! `signal(2)` declaration in `tpq-serve` — we declare the handful of
 //! symbols we need ourselves and keep the workspace dependency-free. The
 //! module is Linux-only (`epoll` and `eventfd` are Linux APIs); the serve
-//! crate gates its reactor on the same `cfg` and falls back to the
-//! threaded core elsewhere.
+//! crate gates its reactor on the same `cfg`, so `tpq serve` runs on
+//! Linux only while everything else builds elsewhere.
 //!
 //! Two safe wrappers cover everything the reactor needs:
 //!

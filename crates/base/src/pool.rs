@@ -21,7 +21,8 @@
 //!
 //! For workloads that outlive any single batch — the `tpq-serve` request
 //! loop — [`TaskPool`] keeps a fixed set of workers alive and executes
-//! one fallible job at a time per worker, with the same panic isolation.
+//! one job at a time per worker. Both pools isolate panics with the one
+//! [`shielded`] runner.
 //!
 //! ```
 //! let (squares, stats) = tpq_base::pool::scoped_map(4, &[1u64, 2, 3, 4, 5], |ctx, &x| {
@@ -89,16 +90,25 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Run one task behind the `pool.task` failpoint and a panic shield.
-fn run_task<T, R, F>(f: &F, ctx: TaskCtx, item: &T) -> Result<R>
-where
-    F: Fn(TaskCtx, &T) -> Result<R>,
-{
+/// Run one unit of pool work behind the `pool.task` failpoint and a panic
+/// shield: a panic in `f` (or an injected one) comes back as
+/// [`Error::WorkerPanic`] instead of unwinding the caller. The scoped
+/// maps run every item through this, and `tpq-serve` runs every admitted
+/// request through it on a [`TaskPool`] worker.
+///
+/// ```
+/// use tpq_base::{pool::shielded, Error};
+///
+/// assert_eq!(shielded(|| Ok(3 * 3)).unwrap(), 9);
+/// let boom: tpq_base::Result<()> = shielded(|| panic!("bad input"));
+/// assert!(matches!(boom, Err(Error::WorkerPanic { .. })));
+/// ```
+pub fn shielded<R>(f: impl FnOnce() -> Result<R>) -> Result<R> {
     // The failpoint fires inside the shield so an injected panic is
     // captured exactly like one from the task itself.
     match std::panic::catch_unwind(AssertUnwindSafe(|| {
         failpoint::hit("pool.task")?;
-        f(ctx, item)
+        f()
     })) {
         Ok(result) => result,
         Err(payload) => Err(Error::WorkerPanic { message: panic_message(payload) }),
@@ -148,7 +158,7 @@ where
         let mut results = Vec::with_capacity(items.len());
         let busy0 = Instant::now();
         for (index, item) in items.iter().enumerate() {
-            results.push(run_task(&f, TaskCtx { worker: 0, index }, item));
+            results.push(shielded(|| f(TaskCtx { worker: 0, index }, item)));
         }
         let panics = count_panics(&results);
         let stats = PoolStats {
@@ -217,7 +227,7 @@ where
                             },
                         };
                         let t = Instant::now();
-                        let r = run_task(f, TaskCtx { worker: w, index }, &items[index]);
+                        let r = shielded(|| f(TaskCtx { worker: w, index }, &items[index]));
                         out.busy += t.elapsed();
                         out.executed += 1;
                         out.results.push((index, r));
@@ -314,25 +324,32 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 ///
 /// [`scoped_map`] fans one batch out and tears its threads down; a server
 /// needs threads that outlive any single request. A [`TaskPool`] spawns
-/// its workers once and feeds them jobs over a channel; [`TaskPool::run`]
-/// submits a fallible closure, blocks the calling thread until a worker
-/// has executed it, and returns its result. Every job runs behind the
-/// same `pool.task` failpoint and `catch_unwind` shield as the scoped
-/// pool, so one panicking job becomes an [`Error::WorkerPanic`] for its
-/// caller while the worker thread — and every other in-flight job —
-/// carries on.
+/// its workers once and feeds them jobs over a channel;
+/// [`TaskPool::spawn`] queues a job and returns at once, so callers
+/// collect results through their own channel. A job that wants its panic
+/// reported runs its work through [`shielded`]; a panic that escapes a
+/// job anyway is caught and dropped, so the worker thread — and every
+/// other queued job — carries on.
 ///
 /// [`TaskPool::shutdown`] (also invoked on drop) closes the queue and
 /// joins the workers; jobs already queued are drained first, so a
 /// graceful server shutdown never abandons an accepted request.
 ///
 /// ```
-/// let pool = tpq_base::pool::TaskPool::new(2);
-/// let nine = pool.run(|| Ok(3 * 3)).unwrap();
-/// assert_eq!(nine, 9);
-/// let boom: tpq_base::Result<()> = pool.run(|| panic!("bad input"));
-/// assert!(boom.is_err(), "panic captured, pool still alive");
-/// assert_eq!(pool.run(|| Ok(1 + 1)).unwrap(), 2);
+/// use std::sync::mpsc;
+/// use tpq_base::pool::{shielded, TaskPool};
+///
+/// let pool = TaskPool::new(2);
+/// let (tx, rx) = mpsc::channel();
+/// for x in [3, 4] {
+///     let tx = tx.clone();
+///     pool.spawn(move || tx.send(shielded(|| Ok(x * x))).unwrap()).unwrap();
+/// }
+/// let mut squares: Vec<i32> = rx.iter().take(2).map(|r| r.unwrap()).collect();
+/// squares.sort_unstable();
+/// assert_eq!(squares, [9, 16]);
+/// pool.shutdown();
+/// assert!(pool.spawn(|| {}).is_err(), "a shut-down pool takes no jobs");
 /// ```
 #[derive(Debug)]
 pub struct TaskPool {
@@ -386,57 +403,16 @@ impl TaskPool {
         self.executed.load(Ordering::Relaxed)
     }
 
-    /// Run `f` on a pool worker and block until it finishes.
-    ///
-    /// `f` runs behind the `pool.task` failpoint and a panic shield: a
-    /// panic (injected or genuine) comes back as [`Error::WorkerPanic`].
-    /// After [`shutdown`](TaskPool::shutdown) the queue is closed and
-    /// `run` fails fast with [`Error::WorkerPanic`] instead of blocking.
-    pub fn run<R, F>(&self, f: F) -> Result<R>
-    where
-        R: Send + 'static,
-        F: FnOnce() -> Result<R> + Send + 'static,
-    {
-        let (tx, rx) = mpsc::channel();
-        let executed = Arc::clone(&self.executed);
-        let job: Job = Box::new(move || {
-            let result = match std::panic::catch_unwind(AssertUnwindSafe(|| {
-                failpoint::hit("pool.task")?;
-                f()
-            })) {
-                Ok(result) => result,
-                Err(payload) => Err(Error::WorkerPanic { message: panic_message(payload) }),
-            };
-            executed.fetch_add(1, Ordering::Relaxed);
-            let _ = tx.send(result); // caller may have given up; that's fine
-        });
-        {
-            let sender = self.sender.lock().expect("task pool sender poisoned");
-            match sender.as_ref() {
-                Some(sender) => sender.send(job).map_err(|_| Error::WorkerPanic {
-                    message: "task pool workers are gone".to_owned(),
-                })?,
-                None => {
-                    return Err(Error::WorkerPanic { message: "task pool is shut down".to_owned() })
-                }
-            }
-        }
-        rx.recv().unwrap_or_else(|_| {
-            Err(Error::WorkerPanic { message: "task pool worker lost".to_owned() })
-        })
-    }
-
     /// Submit `f` to the pool and return immediately, without waiting
-    /// for a worker to pick it up — the fire-and-forget counterpart of
-    /// [`run`](TaskPool::run), for callers (the `tpq-serve` reactor) that
+    /// for a worker to pick it up. Callers (the `tpq-serve` reactor)
     /// collect results through their own completion channel.
     ///
-    /// The worker runs `f` behind a panic shield so a panicking job can
-    /// never kill its thread, but — unlike `run` — the payload has
-    /// nowhere to go and is dropped, and the `pool.task` failpoint is
-    /// *not* hit here: a caller that wants per-job fault injection and
-    /// error reporting does both inside `f`, where it can route the
-    /// outcome to its own channel. Fails fast once the queue is closed.
+    /// A panic that escapes `f` is caught so it can never kill the worker
+    /// thread, but its payload has nowhere to go and is dropped, and the
+    /// `pool.task` failpoint is *not* hit here: a caller that wants
+    /// per-job fault injection and error reporting runs its work through
+    /// [`shielded`] inside `f`, where it can route the outcome to its own
+    /// channel. Fails fast once the queue is closed.
     pub fn spawn<F>(&self, f: F) -> Result<()>
     where
         F: FnOnce() + Send + 'static,
@@ -625,47 +601,38 @@ mod tests {
     }
 
     #[test]
-    fn task_pool_runs_jobs_and_reports_progress() {
-        let pool = TaskPool::new(3);
-        assert_eq!(pool.size(), 3);
-        let results: Vec<u64> = (0..20u64).map(|x| pool.run(move || Ok(x * x)).unwrap()).collect();
-        assert_eq!(results, (0..20u64).map(|x| x * x).collect::<Vec<_>>());
-        assert_eq!(pool.executed(), 20);
-    }
-
-    #[test]
-    fn task_pool_executes_concurrently() {
-        // Two jobs that each wait for the other prove that at least two
-        // workers run at once (a serial pool would deadlock; the test
-        // would then time out rather than hang forever thanks to the
-        // barrier's generous use from both sides).
-        let pool = Arc::new(TaskPool::new(2));
-        let barrier = Arc::new(std::sync::Barrier::new(2));
-        let (b1, b2) = (Arc::clone(&barrier), Arc::clone(&barrier));
-        let p2 = Arc::clone(&pool);
-        let helper = std::thread::spawn(move || p2.run(move || Ok(b2.wait().is_leader())));
-        let first = pool.run(move || Ok(b1.wait().is_leader())).unwrap();
-        let second = helper.join().unwrap().unwrap();
-        assert_ne!(first, second, "exactly one barrier waiter is the leader");
-    }
-
-    #[test]
-    fn task_pool_isolates_panics() {
-        let pool = TaskPool::new(1);
-        let boom: Result<()> = pool.run(|| panic!("poisoned request"));
+    fn shielded_turns_a_panic_into_an_error() {
+        let boom: Result<()> = shielded(|| panic!("poisoned request"));
         match boom {
             Err(Error::WorkerPanic { message }) => {
                 assert!(message.contains("poisoned"), "{message}")
             }
             other => panic!("expected a captured panic, got {other:?}"),
         }
-        // The worker survives its job's panic.
-        assert_eq!(pool.run(|| Ok(7)).unwrap(), 7);
+        assert_eq!(shielded(|| Ok(7)).unwrap(), 7);
+    }
+
+    #[test]
+    fn task_pool_executes_concurrently() {
+        // Two jobs that each wait for the other prove that at least two
+        // workers run at once (a serial pool would never release the
+        // barrier, and the receive below would time out).
+        let pool = TaskPool::new(2);
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let (tx, rx) = mpsc::channel();
+        for _ in 0..2 {
+            let (barrier, tx) = (Arc::clone(&barrier), tx.clone());
+            pool.spawn(move || tx.send(barrier.wait().is_leader()).unwrap()).unwrap();
+        }
+        let first = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        let second = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_ne!(first, second, "exactly one barrier waiter is the leader");
     }
 
     #[test]
     fn spawned_jobs_run_without_blocking_the_caller() {
         let pool = TaskPool::new(2);
+        assert_eq!(pool.size(), 2);
         let (tx, rx) = mpsc::channel();
         for i in 0..10u64 {
             let tx = tx.clone();
@@ -675,6 +642,9 @@ mod tests {
             (0..10).map(|_| rx.recv_timeout(Duration::from_secs(10)).unwrap()).collect();
         results.sort_unstable();
         assert_eq!(results, (0..10u64).map(|i| i * i).collect::<Vec<_>>());
+        // A worker counts its job after the job's send; only once the
+        // workers are joined is the count final.
+        pool.shutdown();
         assert_eq!(pool.executed(), 10);
     }
 
@@ -693,9 +663,8 @@ mod tests {
     #[test]
     fn task_pool_rejects_jobs_after_shutdown() {
         let pool = TaskPool::new(2);
-        assert_eq!(pool.run(|| Ok(1)).unwrap(), 1);
         pool.shutdown();
-        let late: Result<u32> = pool.run(|| Ok(2));
+        let late = pool.spawn(|| {});
         assert!(matches!(late, Err(Error::WorkerPanic { .. })), "{late:?}");
         pool.shutdown(); // idempotent
     }

@@ -41,15 +41,14 @@ fn round_trips(cfg: &ExpConfig) -> usize {
 }
 
 /// Largest herd this process can afford: two fds per member (client end
-/// plus the server's accepted end), with headroom for the harness.
+/// plus the server's accepted end), with headroom for the harness. Zero
+/// off Linux, where `tpq serve` does not run.
 fn herd_budget() -> u64 {
     #[cfg(target_os = "linux")]
     if let Some((soft, _)) = tpq_base::fd::nofile_limit() {
         return soft.saturating_sub(128) / 2;
     }
-    // Off Linux there is no reactor (thread-per-connection fallback), so
-    // a large idle herd would mean thousands of parked OS threads.
-    256
+    0
 }
 
 /// Request-latency quantiles and per-connection accept cost vs the number
@@ -59,7 +58,7 @@ pub fn serve_concurrency(cfg: &ExpConfig) -> Panel {
         .into_iter()
         .filter(|n| *n <= herd_budget())
         .collect();
-    assert!(!sizes.is_empty(), "fd limit too low for even the smallest herd");
+    assert!(!sizes.is_empty(), "fd limit too low (or unknown) for even the smallest herd");
     // The same request every time: after the first round trip the shared
     // engine answers from its canonical-pattern cache, so the panel
     // measures the socket path under load, not minimization CPU.

@@ -1,14 +1,14 @@
 //! The flight recorder: a fixed-capacity, lock-light ring of completed
 //! request records — the serve layer's black box.
 //!
-//! Counters say *how many*; the slow-query log says *what crossed a
-//! threshold*; the flight recorder says *what just happened*, one
-//! [`FlightRecord`] per completed request with its per-phase nanosecond
-//! breakdown (queue / parse / minimize / render), byte counts, outcome
-//! kind, and the cache-hit / shed / backpressure flags. The ring keeps
-//! the most recent [`capacity`](FlightRecorder::capacity) records;
-//! `tpq serve` drains it over the `TIMELINE` verb and dumps it to disk
-//! ([`FlightRecorder::dump`]) on worker panic or SIGUSR1.
+//! Counters say *how many*; the flight recorder says *what just
+//! happened*, one [`FlightRecord`] per completed request with its
+//! per-phase nanosecond breakdown (queue / parse / minimize / render),
+//! byte counts, outcome kind, and the cache-hit / shed / backpressure
+//! flags. The ring keeps the most recent
+//! [`capacity`](FlightRecorder::capacity) records; `tpq serve` drains it
+//! over the `TIMELINE` verb and dumps it to disk
+//! ([`FlightRecorder::dump`]) on a request panic or SIGUSR1.
 //!
 //! Writes follow the same lock-light contract as the event ring: one
 //! `try_lock` per record, and a contended push is *dropped* and counted
@@ -38,15 +38,15 @@ pub struct FlightRecord {
     pub t_unix_ms: u64,
     /// The request's trace id (`0` for requests shed before one was
     /// minted); rendered as 16 hex digits, matching response `trace`
-    /// fields and the slow-query log.
+    /// fields.
     pub trace: u64,
     /// What kind of line this was (`"minimize"`; verbs are not recorded).
     pub verb: &'static str,
     /// Strategy the request ran under, or `"-"` when it never reached
     /// one (parse failures, sheds).
     pub strategy: &'static str,
-    /// Nanoseconds between arrival and the start of processing (pool
-    /// queue time under the reactor; ~0 on the threaded engine).
+    /// Nanoseconds between arrival and the start of processing (time
+    /// queued for a pool worker).
     pub queue_ns: u64,
     /// Nanoseconds parsing the request line, query and constraints.
     pub parse_ns: u64,

@@ -65,7 +65,6 @@ fn help_for(internal: &str) -> Option<&'static str> {
         // Serve counters.
         "serve.request.ok" => "Requests answered successfully.",
         "serve.request.error" => "Requests answered with an error response.",
-        "serve.request.slow" => "Requests at or over the slow-query log threshold.",
         "serve.conn.accepted" => "Connections accepted.",
         "serve.conn.refused" => "Connections refused at the max-conns limit.",
         "serve.accept.errors" => {

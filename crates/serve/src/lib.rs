@@ -4,11 +4,12 @@
 //! into a resident server: a TCP listener speaking a newline-delimited
 //! JSON protocol (one request line in, one response line out; see
 //! [`proto`]), multiplexing every connection onto a shared
-//! [`TaskPool`](tpq_base::TaskPool) of minimization workers. On Linux
-//! the socket side is a single-threaded epoll reactor ([`reactor`]) —
+//! [`TaskPool`](tpq_base::TaskPool) of minimization workers. The socket
+//! side is a single-threaded epoll reactor ([`reactor`]) —
 //! edge-triggered nonblocking I/O, request pipelining, bounded write
-//! queues with backpressure — with a thread-per-connection engine behind
-//! the `--threaded` flag (and as the only engine off Linux).
+//! queues with backpressure. The reactor needs epoll, so serving is
+//! Linux-only: elsewhere the crate builds, and [`Server::run`] fails with
+//! `ErrorKind::Unsupported`.
 //!
 //! Because minimal tree pattern queries are unique up to isomorphism
 //! (Theorem 5.1 of *Minimization of Tree Pattern Queries*), answers are
@@ -19,8 +20,9 @@
 //!
 //! Robustness properties, each covered by an integration test:
 //!
-//! * a worker panic while minimizing one request answers *that* request
-//!   with `{"error":{"kind":"panic",…}}` and affects nothing else;
+//! * a panic while parsing, minimizing or rendering one request answers
+//!   *that* request with `{"error":{"kind":"panic",…}}` and affects
+//!   nothing else;
 //! * per-request deadlines and step budgets ([`tpq_base::Guard`]) trip as
 //!   `kind: "budget"` errors, again per-request;
 //! * oversized or malformed lines are answered with `bad-request`;
@@ -70,6 +72,8 @@
 //! [`BatchMinimizer`]: tpq_core::BatchMinimizer
 
 #![warn(missing_docs)]
+// Off Linux there is no reactor to call the request path.
+#![cfg_attr(not(target_os = "linux"), allow(dead_code))]
 
 pub mod client;
 pub mod proto;

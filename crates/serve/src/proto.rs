@@ -31,7 +31,7 @@
 //!
 //! A successful response (the server appends a per-request `trace` id —
 //! 16 hex digits — to every minimization response; quote it when
-//! correlating with the slow-query log or drained decision events):
+//! correlating with `TIMELINE` flight records or drained decision events):
 //!
 //! ```json
 //! {"minimized": "Book*/Title", "stats": {"input_nodes": 3, "output_nodes": 2,

@@ -1,4 +1,4 @@
-//! The epoll event-loop engine behind `tpq serve` (Linux default).
+//! The epoll event loop behind `tpq serve` (Linux-only).
 //!
 //! One thread owns every socket. An edge-triggered
 //! [`Epoll`] instance multiplexes the listener, an
@@ -38,8 +38,8 @@
 //!   the queue drains below the low-water mark; the stall is counted
 //!   (`serve.backpressure.stalls`) and never blocks other connections.
 //! * **Bounded accept** — the `max_conns` gate and the `queue_depth`
-//!   admission check (with its `retry_after_ms` sheds) are the same code
-//!   the threaded engine runs, in [`crate::server`].
+//!   admission check (with its `retry_after_ms` sheds) live in
+//!   [`crate::server`].
 //! * **Drain** — shutdown (verb, handle, or signal) stops the accept
 //!   path, answers every buffered complete line with a typed
 //!   `overloaded` drain error, flushes outstanding completions bounded
@@ -69,7 +69,7 @@ use tpq_base::fd::{
 use tpq_base::Json;
 
 /// Idle `epoll_wait` timeout: how often the loop re-checks the shutdown
-/// flag with no I/O happening (mirrors the threaded engine's poll tick).
+/// flag with no I/O happening.
 const POLL_MS: i32 = 25;
 /// Event token of the listening socket.
 const TOKEN_LISTENER: u64 = 0;
@@ -96,8 +96,7 @@ struct Completion {
     bytes: Vec<u8>,
     /// Flight-record draft finalized at delivery time, when the response
     /// size and the connection's backpressure state are both known.
-    /// `None` for responses that were already recorded at submit time.
-    draft: Option<FlightDraft>,
+    draft: FlightDraft,
 }
 
 /// The worker-facing half of the reactor: a locked completion queue and
@@ -210,8 +209,7 @@ impl Conn {
     }
 }
 
-/// One JSON response rendered exactly as the threaded engine's
-/// `writeln!` would frame it.
+/// One JSON response framed for the wire: compact JSON plus a newline.
 fn response_line(json: &Json) -> Vec<u8> {
     let mut bytes = json.to_string_compact().into_bytes();
     bytes.push(b'\n');
@@ -234,10 +232,9 @@ struct Reactor {
     accept_stalled: bool,
 }
 
-/// Serve on `listener` with the epoll engine until shutdown, then drain
-/// and summarize. Called by [`crate::server::Server::run`]; everything
-/// protocol-visible (verbs, admission, tracing, counters) is shared with
-/// the threaded engine.
+/// Serve on `listener` until shutdown, then drain and summarize. Called
+/// by [`crate::server::Server::run`]; the protocol semantics (verbs,
+/// admission, tracing, counters) live in [`crate::server`].
 pub(crate) fn run(listener: TcpListener, state: Arc<ServerState>) -> std::io::Result<ServeSummary> {
     listener.set_nonblocking(true)?;
     let epoll = Epoll::new()?;
@@ -346,18 +343,19 @@ impl Reactor {
             if self.gens.get(completion.slot).copied() != Some(completion.gen) {
                 // Connection closed; slot possibly reused. The request
                 // still ran, so it still belongs in the flight recorder.
-                if let Some(draft) = completion.draft {
-                    record_flight(&self.state, draft, completion.bytes.len() as u64, false);
-                }
+                record_flight(&self.state, completion.draft, completion.bytes.len() as u64, false);
                 continue;
             }
             let Some(conn) = self.slots[completion.slot].as_mut() else {
                 continue;
             };
             conn.outstanding -= 1;
-            if let Some(draft) = completion.draft {
-                record_flight(&self.state, draft, completion.bytes.len() as u64, conn.paused);
-            }
+            record_flight(
+                &self.state,
+                completion.draft,
+                completion.bytes.len() as u64,
+                conn.paused,
+            );
             conn.enqueue(completion.seq, completion.bytes);
             self.pump(completion.slot);
         }
@@ -520,14 +518,14 @@ impl Reactor {
                         let worker_shared = Arc::clone(&shared);
                         let line = text.to_owned();
                         let spawned = state.pool.spawn(move || {
-                            let (json, draft) = process_request(&worker_state, &line, t0, true);
+                            let (json, draft) = process_request(&worker_state, &line, t0);
                             worker_state.inflight.fetch_sub(1, Ordering::AcqRel);
                             worker_shared.push(Completion {
                                 slot,
                                 gen,
                                 seq,
                                 bytes: response_line(&json),
-                                draft: Some(draft),
+                                draft,
                             });
                         });
                         match spawned {
@@ -645,9 +643,10 @@ impl Reactor {
     }
 }
 
-/// Reactor-side twin of the threaded engine's drain flush: every
-/// complete line still buffered gets a typed `overloaded` drain error
-/// (in order, via the normal sequence machinery) instead of vanishing.
+/// The drain flush: every complete line still buffered gets a typed
+/// `overloaded` drain error (in order, via the normal sequence machinery)
+/// instead of vanishing. A trailing partial line was never a request the
+/// client finished sending, so it closes unanswered.
 fn flush_buffered_as_drain(state: &ServerState, conn: &mut Conn) {
     while let Some(newline) = conn.read_buf.iter().position(|&b| b == b'\n') {
         let line: Vec<u8> = conn.read_buf.drain(..=newline).collect();

@@ -1,48 +1,40 @@
-//! The TCP server: socket lifecycle, request dispatch, shutdown.
+//! The TCP server: configuration, protocol semantics, shutdown.
 //!
-//! Two I/O engines share everything in this module. The default (Linux)
-//! engine is the epoll reactor in [`crate::reactor`]: one thread
-//! multiplexes every socket and CPU-bound minimization fans out to the
-//! [`tpq_base::pool::TaskPool`], whose completions re-enter the reactor
-//! through an eventfd. The `--threaded` fallback in
-//! `Server::run_threaded` dedicates one thread per connection instead.
-//! Either way `--jobs` bounds CPU concurrency independently of
-//! `--max-conns` (socket concurrency), and the protocol semantics —
-//! verbs, admission control, tracing, drain — live here, engine-neutral.
-//! Engines come from [`tpq_core::shared_engine`], so every connection
-//! shares one constraint closure and one canonical-pattern memo cache
-//! per constraint set, and all queries are interned through one
-//! process-wide [`TypeInterner`] (see [`global_types`]).
+//! The socket side is the epoll reactor in [`crate::reactor`]: one
+//! thread multiplexes every socket and CPU-bound minimization fans out to
+//! the [`tpq_base::pool::TaskPool`], whose completions re-enter the
+//! reactor through an eventfd. `--jobs` bounds CPU concurrency
+//! independently of `--max-conns` (socket concurrency). This module holds
+//! what the reactor calls into: verbs, admission control, the request
+//! path under its panic shield, flight records and the drain epilogue.
+//! The reactor needs epoll, so [`Server::run`] is Linux-only.
+//! Minimization engines come from [`tpq_core::shared_engine`], so every
+//! connection shares one constraint closure and one canonical-pattern
+//! memo cache per constraint set, and all queries are interned through
+//! one process-wide [`TypeInterner`] (see [`global_types`]).
 //!
 //! Shutdown is cooperative: [`ServeHandle::shutdown`] (or a SIGTERM /
 //! ctrl-c when signal handling is installed, or the `SHUTDOWN` protocol
-//! verb) makes the accept loop stop taking connections; handlers finish
-//! the request they are on, answer it, and close; [`Server::run`] then
-//! waits for the active-connection count to drain (bounded by
-//! [`ServeConfig::drain_ms`]) before joining the worker pool.
+//! verb) makes the reactor stop taking connections; every buffered
+//! request is answered (admitted ones by their worker, the rest with a
+//! typed drain error) and [`Server::run`] waits for the connections to
+//! close (bounded by [`ServeConfig::drain_ms`]) before joining the worker
+//! pool.
 
 use crate::proto::{success_response, ProtoError, Request, Syntax, DEFAULT_MAX_LINE_BYTES};
 use crate::snapshot::SnapshotStats;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
-use tpq_base::pool::TaskPool;
+use tpq_base::pool::{shielded, TaskPool};
 use tpq_base::{failpoint, Guard, Json, TypeInterner};
 use tpq_constraints::parse_constraints;
 use tpq_core::{shared_engine, Strategy};
 use tpq_pattern::print::to_dsl;
 use tpq_pattern::{parse_pattern, parse_xpath};
-
-/// How often blocked loops (accept, idle reads, drain) re-check the
-/// shutdown flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(25);
-
-/// Read timeout on connection sockets; bounds how long an idle
-/// connection takes to notice a server shutdown.
-const READ_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// Server tunables. `Default` gives a loopback development server.
 #[derive(Debug, Clone)]
@@ -69,13 +61,6 @@ pub struct ServeConfig {
     /// Install SIGINT/SIGTERM handlers that trigger graceful shutdown
     /// (the `tpq serve` CLI sets this; tests drive shutdown explicitly).
     pub handle_signals: bool,
-    /// Slow-query threshold in milliseconds: a request taking at least
-    /// this long is logged with its trace id and per-phase breakdown.
-    /// `None` disables the slow-query log.
-    pub slow_ms: Option<u64>,
-    /// Where the slow-query log goes: a file path (appended, created if
-    /// missing) or `None` for stderr.
-    pub slow_log: Option<std::path::PathBuf>,
     /// Admission-queue bound: requests in flight (executing *or* waiting
     /// on a pool worker) beyond this are shed with a typed `overloaded`
     /// error carrying a `retry_after_ms` hint — before they are parsed,
@@ -91,10 +76,6 @@ pub struct ServeConfig {
     /// interner-incompatible file is *rejected* (logged, counted) and the
     /// server starts cold — it never crashes or restores partially.
     pub restore: Option<PathBuf>,
-    /// Use the legacy thread-per-connection engine instead of the epoll
-    /// reactor (the `--threaded` CLI flag). Ignored off Linux, where the
-    /// threaded engine is the only one available.
-    pub threaded: bool,
     /// Where the flight recorder dumps its black box (atomically: tmp
     /// sibling + rename) when a worker panics or SIGUSR1 arrives. `None`
     /// disables dumping; the in-memory ring and the `TIMELINE` verb stay
@@ -114,12 +95,9 @@ impl Default for ServeConfig {
             max_line_bytes: DEFAULT_MAX_LINE_BYTES,
             drain_ms: 5_000,
             handle_signals: false,
-            slow_ms: None,
-            slow_log: None,
             queue_depth: 256,
             snapshot: None,
             restore: None,
-            threaded: false,
             flight_dump: None,
         }
     }
@@ -164,8 +142,7 @@ impl Default for RestoreStatus {
 }
 
 /// Shared mutable server state: counters, the worker pool, config.
-/// Crate-visible so the epoll reactor drives the same counters and
-/// request path as the threaded engine.
+/// Crate-visible so the reactor can drive it.
 pub(crate) struct ServerState {
     pub(crate) shutdown: AtomicBool,
     pub(crate) active: AtomicUsize,
@@ -184,11 +161,9 @@ pub(crate) struct ServerState {
     pub(crate) pool: TaskPool,
     pub(crate) config: ServeConfig,
     pub(crate) started: Instant,
-    /// Open slow-query log file (`None` = log to stderr).
-    slow_log: Option<Mutex<std::fs::File>>,
     /// What `--restore` did at bind time (immutable afterwards).
     restore: RestoreStatus,
-    /// The always-on flight recorder both engines feed; drained by the
+    /// The always-on flight recorder every request feeds; drained by the
     /// `TIMELINE` verb, dumped on worker panic or SIGUSR1.
     pub(crate) flight: tpq_obs::FlightRecorder,
     /// The rolling 60-second window behind the STATS `window` block and
@@ -289,12 +264,6 @@ impl Server {
         if config.handle_signals {
             crate::signal::install();
         }
-        let slow_log = match &config.slow_log {
-            Some(path) => {
-                Some(Mutex::new(std::fs::OpenOptions::new().create(true).append(true).open(path)?))
-            }
-            None => None,
-        };
         let restore = restore_at_bind(config.restore.as_deref());
         Ok(Server {
             listener,
@@ -312,7 +281,6 @@ impl Server {
                 pool: TaskPool::new(jobs),
                 config,
                 started: Instant::now(),
-                slow_log,
                 restore,
                 flight: tpq_obs::FlightRecorder::default(),
                 window: tpq_obs::RollingWindow::new(),
@@ -332,65 +300,22 @@ impl Server {
 
     /// Serve until shutdown is requested, then drain and return totals.
     ///
-    /// On Linux this runs the epoll reactor ([`crate::reactor`]) unless
-    /// [`ServeConfig::threaded`] asks for the legacy engine; elsewhere the
-    /// threaded engine is the only one. Minimization work runs on the
-    /// shared worker pool either way. Returns after in-flight connections
-    /// finish (bounded by [`ServeConfig::drain_ms`]).
+    /// The epoll reactor ([`crate::reactor`]) owns every socket and hands
+    /// minimization work to the shared worker pool. Returns after
+    /// in-flight connections finish (bounded by [`ServeConfig::drain_ms`]).
+    /// Off Linux there is no epoll, and this fails with
+    /// [`ErrorKind::Unsupported`].
     pub fn run(self) -> std::io::Result<ServeSummary> {
         #[cfg(target_os = "linux")]
-        if !self.state.config.threaded {
-            return crate::reactor::run(self.listener, self.state);
-        }
-        self.run_threaded()
-    }
-
-    /// The thread-per-connection engine: one dedicated handler thread per
-    /// accepted socket, blocking reads with a short timeout to notice
-    /// shutdown.
-    fn run_threaded(self) -> std::io::Result<ServeSummary> {
-        self.listener.set_nonblocking(true)?;
-        while !self.state.shutdown_requested() {
-            if self.state.config.handle_signals && crate::signal::take_usr1() {
-                maybe_dump_flight(&self.state, "SIGUSR1");
-            }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let state = Arc::clone(&self.state);
-                    if state.active.load(Ordering::Acquire) >= state.config.max_conns {
-                        refuse_connection(&state, stream);
-                        continue;
-                    }
-                    state.active.fetch_add(1, Ordering::AcqRel);
-                    state.accepted.fetch_add(1, Ordering::Relaxed);
-                    tpq_obs::incr("serve.conn.accepted", 1);
-                    std::thread::spawn(move || {
-                        let _active = ActiveGuard(&state);
-                        handle_connection(&state, stream);
-                    });
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL_INTERVAL),
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        // Refuse new connections from here on; drain the in-flight ones.
-        // Handlers notice the shutdown flag, answer the line they are on,
-        // flush any further buffered lines with typed drain errors, and
-        // close — so every request a client finished sending gets *some*
-        // response before the socket goes away.
-        drop(self.listener);
-        let drain_deadline = Instant::now() + Duration::from_millis(self.state.config.drain_ms);
-        while self.state.active.load(Ordering::Acquire) > 0 && Instant::now() < drain_deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        Ok(finalize(&self.state))
+        return crate::reactor::run(self.listener, self.state);
+        #[cfg(not(target_os = "linux"))]
+        Err(std::io::Error::new(ErrorKind::Unsupported, "tpq serve needs Linux (epoll)"))
     }
 }
 
 /// Join the worker pool, write the drain-time snapshot if one is
-/// configured, and summarize the server lifetime. Shared epilogue of both
-/// engines — by the time it runs no socket I/O remains.
+/// configured, and summarize the server lifetime. The reactor's epilogue
+/// — by the time it runs no socket I/O remains.
 pub(crate) fn finalize(state: &ServerState) -> ServeSummary {
     state.pool.shutdown();
     // With the pool joined the cache layers are quiescent: snapshot
@@ -415,16 +340,6 @@ pub(crate) fn finalize(state: &ServerState) -> ServeSummary {
         requests_failed: state.requests_failed.load(Ordering::Relaxed),
         requests_shed: state.requests_shed(),
         snapshot_written,
-    }
-}
-
-/// Decrements the active-connection count when the handler exits, even
-/// if it panics.
-struct ActiveGuard<'a>(&'a ServerState);
-
-impl Drop for ActiveGuard<'_> {
-    fn drop(&mut self) {
-        self.0.active.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -479,102 +394,9 @@ pub(crate) enum Flow {
     Shutdown(Json),
 }
 
-/// Serve one connection: split the byte stream into lines, dispatch each,
-/// write one response line per request.
-fn handle_connection(state: &ServerState, mut stream: TcpStream) {
-    let t_conn = Instant::now();
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    let mut buffer: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    'conn: loop {
-        // Process every complete line already buffered.
-        while let Some(newline) = buffer.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = buffer.drain(..=newline).collect();
-            let Ok(text) = std::str::from_utf8(&line[..line.len() - 1]) else {
-                let e = ProtoError::bad_request("request line is not valid UTF-8");
-                let _ = writeln!(stream, "{}", e.to_json());
-                break 'conn;
-            };
-            match dispatch(state, text.trim()) {
-                Flow::Skip => {}
-                Flow::Respond(json) => {
-                    if writeln!(stream, "{json}").is_err() {
-                        break 'conn;
-                    }
-                }
-                Flow::Raw(text) => {
-                    if stream.write_all(text.as_bytes()).is_err() {
-                        break 'conn;
-                    }
-                }
-                Flow::Shutdown(json) => {
-                    let _ = writeln!(stream, "{json}");
-                    state.shutdown.store(true, Ordering::Release);
-                    flush_buffered_on_drain(state, &mut stream, &mut buffer);
-                    break 'conn;
-                }
-            }
-            if state.shutdown_requested() {
-                // Drained: the in-flight line was answered above; every
-                // further buffered line gets a typed drain error instead
-                // of vanishing with the socket.
-                flush_buffered_on_drain(state, &mut stream, &mut buffer);
-                break 'conn;
-            }
-        }
-        // Refuse to buffer a line past the cap — framing is gone, close.
-        if buffer.len() > state.config.max_line_bytes {
-            let e = ProtoError::bad_request(format!(
-                "request line exceeds {} bytes",
-                state.config.max_line_bytes
-            ));
-            let _ = writeln!(stream, "{}", e.to_json());
-            state.requests_failed.fetch_add(1, Ordering::Relaxed);
-            tpq_obs::incr("serve.request.error", 1);
-            break;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => break, // client closed
-            Ok(n) => buffer.extend_from_slice(&chunk[..n]),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if state.shutdown_requested() && buffer.is_empty() {
-                    break; // idle connection during drain
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => break,
-        }
-    }
-    tpq_obs::record_duration("serve.conn", t_conn.elapsed());
-}
-
-/// Satellite of the drain contract: a connection closing because the
-/// server is draining answers every *complete* line still sitting in its
-/// read buffer with a typed `overloaded` error (reason `drain`) instead
-/// of silently dropping it. A trailing partial line was never a request
-/// the client finished sending, so it closes unanswered.
-fn flush_buffered_on_drain(state: &ServerState, stream: &mut TcpStream, buffer: &mut Vec<u8>) {
-    while let Some(newline) = buffer.iter().position(|&b| b == b'\n') {
-        let line: Vec<u8> = buffer.drain(..=newline).collect();
-        let is_request = match std::str::from_utf8(&line[..line.len() - 1]) {
-            Ok(text) => !text.trim().is_empty(),
-            Err(_) => true, // garbage still deserves a response line
-        };
-        if !is_request {
-            continue;
-        }
-        let e = drain_shed_error(state, line.len() - 1);
-        if writeln!(stream, "{}", e.to_json()).is_err() {
-            return;
-        }
-    }
-}
-
 /// Count one buffered request shed by the drain (flight record
 /// included; `line_len` is the shed line's size sans newline) and build
-/// its typed error. Both engines answer such requests with this instead
+/// its typed error. The drain answers such requests with this instead
 /// of letting them vanish with the socket.
 pub(crate) fn drain_shed_error(state: &ServerState, line_len: usize) -> ProtoError {
     state.shed_drain.fetch_add(1, Ordering::Relaxed);
@@ -593,19 +415,9 @@ pub(crate) fn drain_shed_error(state: &ServerState, line_len: usize) -> ProtoErr
     e
 }
 
-/// Route one trimmed request line (threaded engine): verbs answer
-/// synchronously, JSON requests run to completion on this thread.
-fn dispatch(state: &ServerState, line: &str) -> Flow {
-    match dispatch_verb(state, line) {
-        Some(flow) => flow,
-        None => Flow::Respond(handle_request(state, line)),
-    }
-}
-
-/// The engine-neutral half of dispatch: answer protocol verbs (and the
-/// cheap rejections) synchronously, or return `None` for a JSON
-/// minimization request, which each engine executes its own way — the
-/// threaded engine inline, the reactor on a pool worker.
+/// Answer protocol verbs (and the cheap rejections) synchronously, or
+/// return `None` for a JSON minimization request, which the reactor
+/// hands to a pool worker.
 pub(crate) fn dispatch_verb(state: &ServerState, line: &str) -> Option<Flow> {
     if line.is_empty() {
         return Some(Flow::Skip);
@@ -801,14 +613,6 @@ fn effective_limit(requested: Option<u64>, ceiling: Option<u64>) -> Option<u64> 
     }
 }
 
-/// Per-phase wall-clock breakdown of one request, for the slow-query log.
-#[derive(Debug, Default, Clone, Copy)]
-struct Phases {
-    parse: Duration,
-    minimize: Duration,
-    render: Duration,
-}
-
 /// The protocol spelling of a strategy, for flight records.
 fn strategy_name(strategy: Strategy) -> &'static str {
     match strategy {
@@ -827,10 +631,10 @@ fn now_unix_ms() -> u64 {
 }
 
 /// A [`tpq_obs::FlightRecord`] in the making: everything the request
-/// path knows before the response is rendered onto the wire. The engine
-/// finishing the delivery fills in `bytes_out` and the backpressure flag
-/// via [`record_flight`] — the reactor only knows those at completion
-/// delivery, after the pool worker is long gone.
+/// path knows before the response is rendered onto the wire. The reactor
+/// fills in `bytes_out` and the backpressure flag via [`record_flight`]
+/// — it only knows those at completion delivery, after the pool worker is
+/// long gone.
 #[derive(Debug, Clone)]
 pub(crate) struct FlightDraft {
     trace: u64,
@@ -869,10 +673,9 @@ impl FlightDraft {
 
 /// Finalize one request's flight record: feed the rolling window, push
 /// the record into the ring, and — when the request crashed its worker —
-/// dump the black box while the evidence is still in it. Called by both
-/// engines at the point where response size and backpressure state are
-/// known (write time for the threaded engine, completion delivery for
-/// the reactor).
+/// dump the black box while the evidence is still in it. Called by the
+/// reactor where response size and backpressure state are known: at
+/// completion delivery, or at once for a request it answers itself.
 pub(crate) fn record_flight(
     state: &ServerState,
     draft: FlightDraft,
@@ -932,60 +735,19 @@ fn rendered_len(json: &Json) -> u64 {
     json.to_string_compact().len() as u64 + 1
 }
 
-/// Decrements the in-flight request gauge when the request finishes,
-/// even if the handler panics.
-struct InflightGuard<'a>(&'a ServerState);
-
-impl Drop for InflightGuard<'_> {
-    fn drop(&mut self) {
-        self.0.inflight.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// Answer one minimization request line on the calling thread (threaded
-/// engine): admission control, then the full [`process_request`] path.
-fn handle_request(state: &ServerState, line: &str) -> Json {
-    let t0 = Instant::now();
-    let n_prev = state.inflight.fetch_add(1, Ordering::AcqRel);
-    let _inflight = InflightGuard(state);
-    // Admission control, before the request is even parsed: shedding has
-    // to be cheaper than serving, or it does not protect anything. The
-    // fetch_add-then-compare makes the queue_depth bound exact under
-    // concurrency (each admitted request observed a distinct n_prev).
-    if let Some(shed) = admission_check(state, n_prev) {
-        state.requests_failed.fetch_add(1, Ordering::Relaxed);
-        tpq_obs::incr("serve.request.error", 1);
-        let json = shed.to_json();
-        record_flight(state, FlightDraft::shed(line.len(), &shed, t0), rendered_len(&json), false);
-        return json;
-    }
-    let (json, draft) = process_request(state, line, t0, false);
-    // The threaded engine writes from this thread, so delivery size is
-    // known right here and backpressure does not exist (writes block).
-    record_flight(state, draft, rendered_len(&json), false);
-    json
-}
-
-/// Execute one *admitted* minimization request: mint its trace id
-/// (echoed back as the `trace` response field), minimize, bump the
-/// outcome counters, feed the slow-query log, and assemble the request's
-/// [`FlightDraft`] (the caller records it once delivery size and
-/// backpressure are known). `run_inline` says whether the caller already
-/// sits on a pool worker (the reactor) — then the minimization runs
-/// right here behind the same `pool.task` failpoint and panic shield a
-/// [`TaskPool::run`] round-trip would apply — or should block on
-/// [`TaskPool::run`] (the threaded engine). `t0` is the request's
-/// arrival time; time between `t0` and this call is queue time.
-pub(crate) fn process_request(
-    state: &ServerState,
-    line: &str,
-    t0: Instant,
-    run_inline: bool,
-) -> (Json, FlightDraft) {
+/// Execute one *admitted* minimization request on a pool worker: mint
+/// its trace id (echoed back as the `trace` response field), run parse,
+/// minimization and render behind the pool's one panic shield
+/// ([`shielded`], which also passes the `pool.task` failpoint), bump the
+/// outcome counters, and assemble the request's [`FlightDraft`] (the
+/// reactor records it once delivery size and backpressure are known). A
+/// panic anywhere in that work answers this request with a `panic` error.
+/// `t0` is the request's arrival time; time between `t0` and this call is
+/// queue time.
+pub(crate) fn process_request(state: &ServerState, line: &str, t0: Instant) -> (Json, FlightDraft) {
     let queue_ns = t0.elapsed().as_nanos() as u64;
     let trace = tpq_obs::fresh_trace_id();
     let _scope = tpq_obs::trace_scope(trace);
-    let mut phases = Phases::default();
     let mut draft = FlightDraft {
         trace,
         strategy: "-",
@@ -999,13 +761,10 @@ pub(crate) fn process_request(
         cache_hit: false,
         shed: false,
     };
-    let result = minimize_request(state, line, t0, &mut phases, run_inline, &mut draft);
+    let result = shielded(|| Ok(minimize_request(state, line, t0, &mut draft)))
+        .unwrap_or_else(|e| Err(ProtoError::from_error(&e)));
     let elapsed = t0.elapsed();
     tpq_obs::record_duration("serve.request", elapsed);
-    maybe_log_slow(state, line, trace, elapsed, &phases);
-    draft.parse_ns = phases.parse.as_nanos() as u64;
-    draft.minimize_ns = phases.minimize.as_nanos() as u64;
-    draft.render_ns = phases.render.as_nanos() as u64;
     draft.total_ns = elapsed.as_nanos() as u64;
     let json = match result {
         Ok(json) => {
@@ -1065,53 +824,12 @@ fn with_trace(json: Json, trace: u64) -> Json {
     }
 }
 
-/// Write one slow-query log line when the request crossed the configured
-/// threshold: trace id, total latency, per-phase breakdown and the
-/// (truncated) request line, as one JSON object per line.
-fn maybe_log_slow(state: &ServerState, line: &str, trace: u64, elapsed: Duration, phases: &Phases) {
-    let Some(slow_ms) = state.config.slow_ms else {
-        return;
-    };
-    if elapsed.as_millis() < u128::from(slow_ms) {
-        return;
-    }
-    tpq_obs::incr("serve.request.slow", 1);
-    const MAX_LOGGED_QUERY: usize = 512;
-    let truncated: String = line.chars().take(MAX_LOGGED_QUERY).collect();
-    let entry = Json::object(vec![
-        ("trace", Json::Str(tpq_obs::trace_hex(trace))),
-        ("elapsed_ms", Json::Float(elapsed.as_secs_f64() * 1e3)),
-        (
-            "phases_us",
-            Json::object(vec![
-                ("parse", Json::Float(phases.parse.as_secs_f64() * 1e6)),
-                ("minimize", Json::Float(phases.minimize.as_secs_f64() * 1e6)),
-                ("render", Json::Float(phases.render.as_secs_f64() * 1e6)),
-            ]),
-        ),
-        ("request", Json::Str(truncated)),
-    ])
-    .to_string_compact();
-    match &state.slow_log {
-        Some(file) => {
-            let mut file = file.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-            let _ = writeln!(file, "{entry}");
-        }
-        None => eprintln!("tpq-serve slow query: {entry}"),
-    }
-}
-
-/// Parse, guard and minimize one request, recording the per-phase
-/// breakdown into `phases`. The minimization itself runs on the worker
-/// pool (`run_inline = false`) or on the calling thread behind the same
-/// failpoint-and-shield contract (`run_inline = true`; see
-/// [`run_shielded`]).
+/// Parse, guard, minimize and render one request, writing the per-phase
+/// times and the strategy and cache outcome into `draft`.
 fn minimize_request(
     state: &ServerState,
     line: &str,
     t0: Instant,
-    phases: &mut Phases,
-    run_inline: bool,
     draft: &mut FlightDraft,
 ) -> Result<Json, ProtoError> {
     let t_parse = Instant::now();
@@ -1130,7 +848,7 @@ fn minimize_request(
         .map_err(|e| ProtoError::from_error(&e))?;
         (query, ics)
     };
-    phases.parse = t_parse.elapsed();
+    draft.parse_ns = t_parse.elapsed().as_nanos() as u64;
     let strategy = req.strategy.unwrap_or(state.config.strategy);
     draft.strategy = strategy_name(strategy);
     let guard = {
@@ -1144,54 +862,22 @@ fn minimize_request(
         builder.build()
     };
     let engine = shared_engine(&ics, strategy);
-    let input_nodes = query.size();
-    // Trace identity is thread-local: carry the request's id onto
-    // whichever pool worker executes the minimization.
-    let trace = tpq_obs::current_trace();
     let t_min = Instant::now();
-    let work = move || {
-        let _scope = tpq_obs::trace_scope(trace);
-        engine.minimize_cached_guarded(&query, &guard)
-    };
-    let out = if run_inline { run_shielded(work) } else { state.pool.run(work) }
-        .map_err(|e| ProtoError::from_error(&e))?;
-    phases.minimize = t_min.elapsed();
+    let out =
+        engine.minimize_cached_guarded(&query, &guard).map_err(|e| ProtoError::from_error(&e))?;
+    draft.minimize_ns = t_min.elapsed().as_nanos() as u64;
     draft.cache_hit = out.cache_hit;
     let t_render = Instant::now();
     let minimized = to_dsl(&out.pattern, &lock_types());
-    phases.render = t_render.elapsed();
+    draft.render_ns = t_render.elapsed().as_nanos() as u64;
     Ok(success_response(
         minimized,
-        input_nodes,
+        query.size(),
         out.pattern.size(),
         out.cache_hit,
         &out.stats,
         t0.elapsed(),
     ))
-}
-
-/// Run `f` on the calling thread under exactly the contract a
-/// [`TaskPool`] worker would apply: the `pool.task` failpoint fires
-/// first, inside a `catch_unwind` shield, so an injected or genuine
-/// panic becomes an [`Error::WorkerPanic`] instead of unwinding the
-/// caller. The reactor executes minimizations through this after
-/// [`TaskPool::spawn`] has already moved them onto a worker (a nested
-/// `pool.run` would deadlock a single-worker pool).
-///
-/// [`Error::WorkerPanic`]: tpq_base::Error::WorkerPanic
-fn run_shielded<R, F>(f: F) -> tpq_base::Result<R>
-where
-    F: FnOnce() -> tpq_base::Result<R>,
-{
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        failpoint::hit("pool.task")?;
-        f()
-    })) {
-        Ok(result) => result,
-        Err(payload) => {
-            Err(tpq_base::Error::WorkerPanic { message: tpq_base::pool::panic_message(payload) })
-        }
-    }
 }
 
 #[cfg(test)]

@@ -2,15 +2,22 @@
 //!
 //! Kept in their own test binary (own process): failpoints arm
 //! process-wide, and the hit comes from a pool worker thread, so
-//! thread-scoped arming cannot be used and parallel tests in the same
-//! process would race. One test function keeps the sequence
-//! deterministic.
+//! thread-scoped arming cannot be used. The tests take one lock so that
+//! no failpoint armed by one fires in another.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 use tpq_base::failpoint::{self, Action};
 use tpq_serve::{ServeConfig, Server};
+
+/// Serialize the tests of this binary (a failed test poisons the lock;
+/// the others still run).
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn round_trip(conn: &mut BufReader<TcpStream>, line: &str) -> String {
     writeln!(conn.get_mut(), "{line}").expect("write");
@@ -31,6 +38,7 @@ fn error_kind_of(response: &str) -> String {
 /// served normally, and the server must still drain cleanly.
 #[test]
 fn injected_worker_faults_poison_one_request_only() {
+    let _serial = serial();
     let dir = std::env::temp_dir().join(format!("tpq-serve-faults-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let dump = dir.join("flight.jsonl");
@@ -100,4 +108,54 @@ fn injected_worker_faults_poison_one_request_only() {
     assert_eq!(summary.requests_ok, 4);
     assert_eq!(summary.requests_failed, 2);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A panic outside the minimization itself (here: while parsing the
+/// pattern on the pool worker) still answers its own request, records a
+/// `panic` flight record, and gives its admission slot back.
+#[test]
+fn a_panic_while_parsing_answers_its_request_and_frees_its_slot() {
+    let _serial = serial();
+    let server =
+        Server::bind(ServeConfig { addr: "127.0.0.1:0".into(), jobs: 1, ..ServeConfig::default() })
+            .expect("bind");
+    let addr = server.local_addr().unwrap();
+    let handle = server.handle();
+    let thread = std::thread::spawn(move || server.run().expect("run"));
+
+    let stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut conn = BufReader::new(stream);
+
+    let _fp = failpoint::arm("parse.pattern", Action::Panic, 1);
+    let poisoned = round_trip(&mut conn, r#"{"query": "Parse*[/PA][/PB]"}"#);
+    assert_eq!(error_kind_of(&poisoned), "panic", "{poisoned}");
+    assert!(poisoned.contains("injected panic"), "{poisoned}");
+
+    // The same connection is answered again, and the panicked request
+    // no longer counts as in flight.
+    let after = round_trip(&mut conn, r#"{"query": "Parse*[/PA][/PA]"}"#);
+    assert!(after.contains(r#""minimized":"Parse*/PA""#), "{after}");
+    let stats = tpq_base::Json::parse(&round_trip(&mut conn, "STATS")).expect("STATS JSON");
+    let inflight = stats.get("requests").and_then(|r| r.get("inflight")).cloned();
+    assert_eq!(inflight, Some(tpq_base::Json::Int(0)), "{stats:?}");
+
+    // The panic has its own flight record.
+    writeln!(conn.get_mut(), "TIMELINE").unwrap();
+    let mut outcomes = Vec::new();
+    loop {
+        let mut line = String::new();
+        conn.read_line(&mut line).expect("read TIMELINE");
+        if line.trim_end() == "# EOF" {
+            break;
+        }
+        let record = tpq_base::Json::parse(line.trim_end()).expect("record JSON");
+        outcomes.push(record.get("outcome").and_then(tpq_base::Json::as_str).unwrap().to_owned());
+    }
+    assert_eq!(outcomes, ["panic", "ok"]);
+
+    drop(conn);
+    handle.shutdown();
+    let summary = thread.join().unwrap();
+    assert_eq!((summary.requests_ok, summary.requests_failed), (1, 1));
 }

@@ -1,11 +1,10 @@
-//! Edge-case tests for the epoll reactor engine (Linux-only): framing
-//! across partial reads, pipelining order under out-of-order pool
-//! completion, write-queue backpressure isolation, and parity with the
-//! `--threaded` fallback engine.
+//! Edge-case tests for the epoll reactor (Linux-only): framing across
+//! partial reads, pipelining order under out-of-order pool completion,
+//! and write-queue backpressure isolation.
 //!
 //! The general protocol battery in `server.rs` already runs against the
-//! reactor (it is the default engine); this file covers the behaviors
-//! only an event loop can get wrong.
+//! reactor; this file covers the behaviors only an event loop can get
+//! wrong.
 
 #![cfg(target_os = "linux")]
 
@@ -156,25 +155,6 @@ fn slow_reader_trips_backpressure_without_stalling_others() {
     drop(fast);
     handle.shutdown();
     thread.join().unwrap();
-}
-
-#[test]
-fn threaded_fallback_still_serves() {
-    // `--threaded` bypasses the reactor; the protocol must not care.
-    let (addr, handle, thread) = start(ServeConfig { threaded: true, ..ServeConfig::default() });
-    let mut conn = connect(addr);
-    writeln!(conn.get_mut(), "PING").unwrap();
-    let mut line = String::new();
-    conn.read_line(&mut line).unwrap();
-    assert_eq!(line.trim_end(), r#"{"ok":true}"#);
-    writeln!(conn.get_mut(), r#"{{"query": "a*[/b][/b]"}}"#).unwrap();
-    line.clear();
-    conn.read_line(&mut line).unwrap();
-    assert_eq!(minimized_of(line.trim_end()), "a*/b");
-    drop(conn);
-    handle.shutdown();
-    let summary = thread.join().unwrap();
-    assert_eq!(summary.requests_ok, 1);
 }
 
 #[test]

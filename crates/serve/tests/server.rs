@@ -496,44 +496,6 @@ fn responses_carry_distinct_per_request_trace_ids() {
 }
 
 #[test]
-fn slow_query_log_records_trace_and_phase_breakdown() {
-    let path = std::env::temp_dir().join(format!(
-        "tpq-serve-slow-{}-{:?}.log",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_file(&path);
-    let (addr, handle, thread) = start(ServeConfig {
-        slow_ms: Some(0), // every request is "slow"
-        slow_log: Some(path.clone()),
-        ..ServeConfig::default()
-    });
-    let mut conn = connect(addr);
-    let response = round_trip(
-        &mut conn,
-        r#"{"query": "SlowCase*[/LA][/LB]", "constraints": "SlowCase -> LA"}"#,
-    );
-    let trace = trace_of(&response);
-    drop(conn);
-    handle.shutdown();
-    thread.join().unwrap();
-    let log = std::fs::read_to_string(&path).expect("slow log file");
-    let entry = log
-        .lines()
-        .find(|l| l.contains(&trace))
-        .unwrap_or_else(|| panic!("no slow-log line for trace {trace} in {log:?}"));
-    let json = tpq_base::Json::parse(entry).expect("slow-log line is JSON");
-    assert_eq!(json.get("trace").and_then(tpq_base::Json::as_str), Some(trace.as_str()));
-    assert!(json.get("elapsed_ms").and_then(tpq_base::Json::as_f64).is_some());
-    let phases = json.get("phases_us").expect("phases_us");
-    for phase in ["parse", "minimize", "render"] {
-        assert!(phases.get(phase).and_then(tpq_base::Json::as_f64).is_some(), "{phase}");
-    }
-    assert!(json.get("request").and_then(tpq_base::Json::as_str).unwrap().contains("SlowCase"));
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
 fn request_counters_survive_a_registry_reset() {
     // reset() isolates counter assertions from whatever ran earlier in
     // this binary; servers in other tests may still add counts

@@ -1,7 +1,7 @@
 //! Integration tests for the flight recorder surface: the `TIMELINE`
 //! verb, the `STATS` window/flight blocks, the `tpq_*_1m` gauges, and
-//! explicit dumps through [`ServeHandle::dump_flight`]. Both engines are
-//! covered — the flight recorder is on by default in each.
+//! explicit dumps through [`ServeHandle::dump_flight`]. The flight
+//! recorder is on by default.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -121,14 +121,8 @@ fn check_timeline(config: ServeConfig) {
 }
 
 #[test]
-fn timeline_returns_phase_timed_records_threaded_engine() {
-    check_timeline(ServeConfig { threaded: true, ..ServeConfig::default() });
-}
-
-#[cfg(target_os = "linux")]
-#[test]
 fn timeline_returns_phase_timed_records_reactor_engine() {
-    check_timeline(ServeConfig { threaded: false, ..ServeConfig::default() });
+    check_timeline(ServeConfig::default());
 }
 
 #[test]

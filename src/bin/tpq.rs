@@ -14,7 +14,7 @@
 //! tpq closure  --constraints ics.txt
 //! tpq repair   --doc org.xml --constraints ics.txt
 //! tpq serve    --addr 127.0.0.1:7878 --jobs 4 --max-conns 64 --deadline-ms 1000
-//! tpq serve    --addr 127.0.0.1:7878 --slow-ms 50 --slow-log slow.jsonl --flight-dump flight.jsonl
+//! tpq serve    --addr 127.0.0.1:7878 --flight-dump flight.jsonl
 //! tpq top      --addr 127.0.0.1:7878 --interval-ms 1000
 //! tpq top      --addr 127.0.0.1:7878 --once
 //! ```
@@ -23,7 +23,8 @@
 //! syntax (`minimize` and `match` also accept the query as a bare
 //! positional argument). Constraints can come inline (`--ic`, repeatable),
 //! from a file (`--constraints`), or inferred from a schema file
-//! (`--schema`); sources combine.
+//! (`--schema`); sources combine. Each subcommand rejects an option it
+//! does not read with `unknown option --<name>`.
 //!
 //! Observability (may appear anywhere on the command line):
 //!
@@ -50,15 +51,12 @@
 //! `tpq serve` runs the minimization service from `tpq-serve`: it prints
 //! `listening on <addr>` once bound, answers newline-delimited JSON
 //! requests until SIGTERM / ctrl-c / a `SHUTDOWN` verb, then drains
-//! in-flight work and prints a summary. On Linux the socket side is an
-//! epoll event-loop reactor; `--threaded` selects the legacy
-//! thread-per-connection engine instead (see `docs/SERVING.md`).
-//! `--deadline-ms` / `--budget` act as per-request ceilings rather than
-//! whole-process limits. `--slow-ms <n>` logs requests at or above `n`
-//! milliseconds (trace id plus per-phase breakdown) to stderr, or to
-//! `--slow-log <path>` when given. `--flight-dump <path>` names the file
-//! the always-on flight recorder dumps its recent-request black box to
-//! when a worker panics or the process receives SIGUSR1.
+//! in-flight work and prints a summary. The socket side is an epoll
+//! event-loop reactor, so `tpq serve` runs on Linux only (see
+//! `docs/SERVING.md`). `--deadline-ms` / `--budget` act as per-request
+//! ceilings rather than whole-process limits. `--flight-dump <path>`
+//! names the file the always-on flight recorder dumps its recent-request
+//! black box to when a request panics or the process receives SIGUSR1.
 //!
 //! `tpq top` is the matching live dashboard: it polls a running server's
 //! `STATS` and `TIMELINE` verbs and redraws RED rates, windowed latency
@@ -166,7 +164,9 @@ struct Opts {
 }
 
 impl Opts {
-    fn parse(args: &[String], booleans: &[&str]) -> Result2<Opts> {
+    /// Crack `args` against the subcommand's `booleans` (`--name`) and
+    /// `valued` options (`--name value`); any other `--name` is an error.
+    fn parse(args: &[String], booleans: &[&str], valued: &[&str]) -> Result2<Opts> {
         let mut pairs = Vec::new();
         let mut flags = Vec::new();
         let mut positionals = Vec::new();
@@ -178,9 +178,11 @@ impl Opts {
             };
             if booleans.contains(&name) {
                 flags.push(name.to_owned());
-            } else {
+            } else if valued.contains(&name) {
                 let v = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
                 pairs.push((name.to_owned(), v.clone()));
+            } else {
+                return Err(format!("unknown option --{name}"));
             }
         }
         Ok(Opts { pairs, flags, positionals })
@@ -211,6 +213,13 @@ impl Opts {
 }
 
 type Result2<T> = std::result::Result<T, String>;
+
+/// The valued options [`parse_query`] reads.
+const QUERY_OPTS: [&str; 2] = ["query", "xpath"];
+/// The valued options [`gather_constraints`] reads.
+const CONSTRAINT_OPTS: [&str; 3] = ["ic", "constraints", "schema"];
+/// The valued options [`parse_guard`] reads.
+const GUARD_OPTS: [&str; 2] = ["deadline-ms", "budget"];
 
 fn read_file(path: &str) -> Result2<String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
@@ -311,7 +320,11 @@ fn constraint_line(c: &Constraint, types: &TypeInterner) -> String {
 }
 
 fn cmd_minimize(args: &[String]) -> Result2<()> {
-    let opts = Opts::parse(args, &["tree", "stats"])?;
+    let opts = Opts::parse(
+        args,
+        &["tree", "stats"],
+        &[&QUERY_OPTS[..], &CONSTRAINT_OPTS, &GUARD_OPTS, &["strategy", "batch", "jobs"]].concat(),
+    )?;
     let mut types = TypeInterner::new();
     let strategy = opts.get("strategy").unwrap_or_default().parse::<Strategy>()?;
     // Batch mode: one query per line from a file (or every `.txt` file in
@@ -400,7 +413,11 @@ fn write_batch_results(
 /// for every deleted node, the constraint-closure fact or homomorphism
 /// witness that justified the deletion.
 fn cmd_explain(args: &[String]) -> Result2<()> {
-    let opts = Opts::parse(args, &["events"])?;
+    let opts = Opts::parse(
+        args,
+        &["events"],
+        &[&QUERY_OPTS[..], &CONSTRAINT_OPTS, &GUARD_OPTS, &["strategy"]].concat(),
+    )?;
     let mut types = TypeInterner::new();
     let strategy = opts.get("strategy").unwrap_or_default().parse::<Strategy>()?;
     let guard = parse_guard(&opts)?;
@@ -466,7 +483,7 @@ fn deletion_line(d: &tpq::core::Deletion, q: &TreePattern, types: &TypeInterner)
 }
 
 fn cmd_match(args: &[String]) -> Result2<()> {
-    let opts = Opts::parse(args, &["count"])?;
+    let opts = Opts::parse(args, &["count"], &[&QUERY_OPTS[..], &["doc", "engine"]].concat())?;
     let mut types = TypeInterner::new();
     let query = parse_query(&opts, &mut types)?;
     // The document: `--doc <file>`, or the positional after the query
@@ -519,7 +536,7 @@ fn cmd_match(args: &[String]) -> Result2<()> {
 }
 
 fn cmd_check(args: &[String]) -> Result2<()> {
-    let opts = Opts::parse(args, &[])?;
+    let opts = Opts::parse(args, &[], &[&CONSTRAINT_OPTS[..], &["q1", "q2"]].concat())?;
     opts.no_positionals()?;
     let mut types = TypeInterner::new();
     let q1 = parse_pattern(opts.require("q1")?, &mut types).map_err(|e| e.to_string())?;
@@ -538,7 +555,7 @@ fn cmd_check(args: &[String]) -> Result2<()> {
 }
 
 fn cmd_closure(args: &[String]) -> Result2<()> {
-    let opts = Opts::parse(args, &[])?;
+    let opts = Opts::parse(args, &[], &CONSTRAINT_OPTS)?;
     opts.no_positionals()?;
     let mut types = TypeInterner::new();
     let ics = gather_constraints(&opts, &mut types)?;
@@ -558,13 +575,27 @@ fn cmd_closure(args: &[String]) -> Result2<()> {
 /// `tpq serve`: run the long-running minimization service until a
 /// shutdown signal (SIGTERM / ctrl-c) or a `SHUTDOWN` protocol verb.
 fn cmd_serve(args: &[String]) -> Result2<()> {
-    let opts = Opts::parse(args, &["threaded"])?;
+    let opts = Opts::parse(
+        args,
+        &[],
+        &[
+            "addr",
+            "jobs",
+            "max-conns",
+            "deadline-ms",
+            "budget",
+            "max-line-bytes",
+            "drain-ms",
+            "strategy",
+            "queue-depth",
+            "snapshot",
+            "restore",
+            "flight-dump",
+        ],
+    )?;
     opts.no_positionals()?;
     let mut config =
         tpq::serve::ServeConfig { handle_signals: true, ..tpq::serve::ServeConfig::default() };
-    // --threaded: opt out of the epoll reactor (Linux default) and run
-    // the legacy thread-per-connection engine instead.
-    config.threaded = opts.flag("threaded");
     if let Some(addr) = opts.get("addr") {
         config.addr = addr.to_owned();
     }
@@ -605,18 +636,6 @@ fn cmd_serve(args: &[String]) -> Result2<()> {
     }
     if let Some(strategy) = opts.get("strategy") {
         config.strategy = strategy.parse::<Strategy>()?;
-    }
-    if let Some(ms) = opts.get("slow-ms") {
-        config.slow_ms = Some(
-            ms.parse::<u64>()
-                .map_err(|_| format!("--slow-ms needs a non-negative integer, got '{ms}'"))?,
-        );
-    }
-    if let Some(path) = opts.get("slow-log") {
-        if config.slow_ms.is_none() {
-            return Err("--slow-log needs --slow-ms to set the threshold".into());
-        }
-        config.slow_log = Some(path.into());
     }
     if let Some(n) = opts.get("queue-depth") {
         config.queue_depth = match n.parse::<usize>() {
@@ -675,7 +694,7 @@ fn cmd_serve(args: &[String]) -> Result2<()> {
 /// single plain frame (stable `key:` line prefixes, no escape codes) for
 /// scripts and CI smoke checks.
 fn cmd_top(args: &[String]) -> Result2<()> {
-    let opts = Opts::parse(args, &["once"])?;
+    let opts = Opts::parse(args, &["once"], &["addr", "interval-ms", "timeline"])?;
     opts.no_positionals()?;
     let mut config = tpq::serve::TopConfig::default();
     if let Some(addr) = opts.get("addr") {
@@ -705,7 +724,16 @@ fn cmd_top(args: &[String]) -> Result2<()> {
 /// `retry_after_ms` hints, under an optional end-to-end deadline).
 fn cmd_query(args: &[String]) -> Result2<()> {
     use tpq::base::Json;
-    let opts = Opts::parse(args, &["stats"])?;
+    let opts = Opts::parse(
+        args,
+        &["stats"],
+        &[
+            &QUERY_OPTS[..],
+            &["ic", "constraints", "strategy", "budget"],
+            &["addr", "retries", "backoff-ms", "deadline-ms", "seed"],
+        ]
+        .concat(),
+    )?;
     let addr = opts.get("addr").unwrap_or("127.0.0.1:7878").to_owned();
     let mut policy = tpq::serve::RetryPolicy::default();
     if let Some(n) = opts.get("retries") {
@@ -790,7 +818,7 @@ fn cmd_query(args: &[String]) -> Result2<()> {
 }
 
 fn cmd_repair(args: &[String]) -> Result2<()> {
-    let opts = Opts::parse(args, &[])?;
+    let opts = Opts::parse(args, &[], &[&CONSTRAINT_OPTS[..], &["doc"]].concat())?;
     opts.no_positionals()?;
     let mut types = TypeInterner::new();
     let doc =

@@ -624,8 +624,16 @@ fn explain_dumps_decision_events_as_json_lines() {
 }
 
 #[test]
-fn serve_slow_log_flag_requires_a_threshold() {
-    let out = tpq(&["serve", "--slow-log", "slow.jsonl"]);
-    assert!(!out.status.success());
-    assert!(stderr(&out).contains("--slow-ms"), "{}", stderr(&out));
+fn options_a_subcommand_does_not_read_are_rejected_by_name() {
+    // Removed serve options, and a misspelling that used to be ignored.
+    for (args, name) in [
+        (&["serve", "--threaded"][..], "--threaded"),
+        (&["serve", "--slow-ms", "5"], "--slow-ms"),
+        (&["serve", "--slow-log", "slow.jsonl"], "--slow-log"),
+        (&["minimize", "--query", "a*[/b]", "--strateg", "cim"], "--strateg"),
+    ] {
+        let out = tpq(args);
+        assert!(!out.status.success(), "{args:?} was accepted");
+        assert!(stderr(&out).contains(&format!("unknown option {name}")), "{}", stderr(&out));
+    }
 }
