@@ -404,12 +404,12 @@ pub fn batch(cfg: &ExpConfig) -> Panel {
     batch_with_speedup(cfg).0
 }
 
-/// Observed hit rates of the three caches on the serve path — the batch
-/// memo (canonical-pattern results), the process-wide closure LRU and the
-/// shared-engine LRU — over repeated rounds of the same workload. Round 1
-/// is cold; later rounds should converge to 100%. Rates are computed from
-/// `tpq-obs` counter deltas around each round, so the panel measures the
-/// same counters Prometheus exports.
+/// Observed hit rates of the two caches on the serve path — the batch
+/// memo (canonical-pattern results) and the shared-engine LRU, which also
+/// holds each constraint set's closure — over repeated rounds of the
+/// same workload. Round 1 is cold; later rounds should converge to 100%.
+/// Rates are computed from `tpq-obs` counter deltas around each round, so
+/// the panel measures the same counters Prometheus exports.
 pub fn cache(cfg: &ExpConfig) -> Panel {
     let was_enabled = tpq_obs::enabled();
     tpq_obs::set_enabled(true);
@@ -434,8 +434,6 @@ pub fn cache(cfg: &ExpConfig) -> Panel {
 
     let batch_hit = tpq_obs::counter("batch.cache.hit");
     let batch_miss = tpq_obs::counter("batch.cache.miss");
-    let closure_hit = tpq_obs::counter("closure.cache.hit");
-    let closure_miss = tpq_obs::counter("closure.recomputed");
     let engine_hit = tpq_obs::counter("engine.cache.hit");
     let engine_miss = tpq_obs::counter("engine.recomputed");
     let rate = |hits: u64, misses: u64| {
@@ -449,44 +447,32 @@ pub fn cache(cfg: &ExpConfig) -> Panel {
 
     let engine = tpq_core::BatchMinimizer::new(&ics);
     let mut memo_pts = Vec::new();
-    let mut closure_pts = Vec::new();
     let mut engine_pts = Vec::new();
     for round in 1..=3u64 {
-        let before = (
-            (batch_hit.get(), batch_miss.get()),
-            (closure_hit.get(), closure_miss.get()),
-            (engine_hit.get(), engine_miss.get()),
-        );
-        // Drive all three caches the way the serve path does: resolve the
-        // shared engine for the constraint set (engine LRU), take the
-        // constraint closure via the pipeline (closure LRU), and minimize
+        let before = ((batch_hit.get(), batch_miss.get()), (engine_hit.get(), engine_miss.get()));
+        // Drive both caches the way the serve path does: resolve the
+        // shared engine for the constraint set (engine LRU), and minimize
         // the batch on the per-engine memo.
         let _shared = tpq_core::shared_engine(&ics, Strategy::default());
-        let _ = minimize_with(&generated[0].pattern, &ics, Strategy::default());
         let outcome = engine.minimize_batch(&queries, 2);
         assert_eq!(outcome.patterns.len(), queries.len());
         memo_pts.push(Point::flat(
             round,
             rate(batch_hit.get() - before.0 .0, batch_miss.get() - before.0 .1),
         ));
-        closure_pts.push(Point::flat(
-            round,
-            rate(closure_hit.get() - before.1 .0, closure_miss.get() - before.1 .1),
-        ));
         engine_pts.push(Point::flat(
             round,
-            rate(engine_hit.get() - before.2 .0, engine_miss.get() - before.2 .1),
+            rate(engine_hit.get() - before.1 .0, engine_miss.get() - before.1 .1),
         ));
     }
     tpq_obs::set_enabled(was_enabled);
     Panel {
         id: "cache".into(),
-        title: "cache hit rates per round: batch memo, closure LRU, engine LRU".into(),
+        title: "cache hit rates per round: batch memo, engine LRU".into(),
         x_label: "Round".into(),
         unit: UNIT_PERCENT.into(),
         series: vec![
             Series { label: "BatchMemo".into(), points: memo_pts },
-            Series { label: "ClosureLru".into(), points: closure_pts },
             Series { label: "EngineLru".into(), points: engine_pts },
         ],
     }
@@ -768,7 +754,7 @@ mod tests {
         let _guard = crate::global_cache_test_lock();
         let p = cache(&ExpConfig::quick());
         assert_eq!(p.unit, UNIT_PERCENT);
-        assert_eq!(p.series.len(), 3);
+        assert_eq!(p.series.len(), 2);
         for s in &p.series {
             let last = s.points.last().unwrap();
             assert!(

@@ -462,7 +462,9 @@ type EngineCache = Vec<((ConstraintSet, Strategy), Arc<BatchMinimizer>)>;
 /// memo cache and one constraint closure per constraint set: request
 /// handlers call `shared_engine` instead of constructing engines, so a
 /// pattern minimized on one connection is a cache hit on all of them.
-/// The `engine.cache.hit` / `engine.recomputed` counters report reuse.
+/// The one-shot [`crate::minimize_with`] takes its closed set from here
+/// too. The `engine.cache.hit` / `engine.recomputed` counters report
+/// reuse by both.
 ///
 /// **Interner discipline:** engines memoize by [`TreePattern::canonical_key`],
 /// which is built from [`TypeId`](tpq_base::TypeId)s. All queries handed to
@@ -536,20 +538,14 @@ pub fn seed_engine(ics: ConstraintSet, strategy: Strategy, engine: Arc<BatchMini
     entries.truncate(ENGINE_CACHE_CAPACITY);
 }
 
-/// Empty the process-wide engine LRU (existing [`Arc`] holders keep their
-/// engines; only the cache forgets them).
-pub fn clear_engine_cache() {
-    engine_cache().lock().expect("engine cache poisoned").clear();
-}
-
-/// Empty **both** process-wide caches — the [`shared_engine`] LRU and the
-/// closure LRU of [`crate::pipeline`]. This is what a true cold start
-/// looks like; the warm-restart benchmarks and tests call it between
-/// server lifetimes so that in-process "restarts" measure the snapshot,
-/// not leftover process state.
+/// Empty the process-wide [`shared_engine`] LRU, which also holds the
+/// closed sets the one-shot [`crate::minimize_with`] uses (existing
+/// [`Arc`] holders keep their engines; only the cache forgets them). This
+/// is what a true cold start looks like; the warm-restart benchmarks and
+/// tests call it between server lifetimes so that in-process "restarts"
+/// measure the snapshot, not leftover process state.
 pub fn clear_shared_caches() {
-    clear_engine_cache();
-    crate::pipeline::clear_closure_cache();
+    engine_cache().lock().expect("engine cache poisoned").clear();
 }
 
 #[cfg(test)]

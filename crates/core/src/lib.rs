@@ -71,8 +71,8 @@ pub mod redundant;
 pub mod stats;
 
 pub use batch::{
-    clear_engine_cache, clear_shared_caches, export_engines, seed_engine, shared_engine,
-    BatchMinimizer, BatchOutcome, BatchStats, CachedOutcome, GuardedBatchOutcome,
+    clear_shared_caches, export_engines, seed_engine, shared_engine, BatchMinimizer, BatchOutcome,
+    BatchStats, CachedOutcome, GuardedBatchOutcome,
 };
 pub use cdm::{cdm, cdm_in_place_guarded};
 pub use chase::{augment_guarded, chase};
@@ -85,8 +85,7 @@ pub use incremental::{acim, cim, CimEngine};
 pub use local::locally_redundant_leaves;
 pub use mapping::{has_homomorphism, has_homomorphism_guarded, has_homomorphism_naive};
 pub use pipeline::{
-    clear_closure_cache, export_closures, import_closure, is_minimal, minimize,
-    minimize_closed_guarded, minimize_with, MinimizeOutcome, Strategy,
+    is_minimal, minimize, minimize_closed_guarded, minimize_with, MinimizeOutcome, Strategy,
 };
 pub use redundant::{cim_with_order, redundant_leaf};
 pub use stats::MinimizeStats;

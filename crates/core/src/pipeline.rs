@@ -12,7 +12,6 @@
 use crate::cdm::cdm_in_place_guarded;
 use crate::incremental::acim_stage;
 use crate::stats::MinimizeStats;
-use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 use tpq_base::{BudgetResource, Error, Guard, Result};
 use tpq_constraints::ConstraintSet;
@@ -84,14 +83,16 @@ pub fn minimize(q: &TreePattern, ics: &ConstraintSet) -> MinimizeOutcome {
 ///
 /// One-shot convenience over [`minimize_closed_guarded`]. Repeated calls
 /// against the same constraint set do **not** recompute the quadratic
-/// closure: a small process-wide cache maps recently seen sets to their
-/// closures (the `closure.cache.hit` / `closure.recomputed` counters
-/// report its behavior). For heavy many-query workloads, close the set
-/// once and call [`minimize_closed_guarded`], or use a
-/// [`crate::batch::BatchMinimizer`]; both also skip the set-equality
-/// probe.
+/// closure: it is taken from the process-wide engine table of
+/// [`crate::shared_engine`] (the `engine.cache.hit` / `engine.recomputed`
+/// counters report its behavior). The engine's memo is not consulted, so
+/// every call runs the full pipeline and returns its stats. For heavy
+/// many-query workloads, close the set once and call
+/// [`minimize_closed_guarded`], or use a [`crate::batch::BatchMinimizer`];
+/// both also skip the set-equality probe.
 pub fn minimize_with(q: &TreePattern, ics: &ConstraintSet, strategy: Strategy) -> MinimizeOutcome {
-    minimize_unlimited(q, &cached_closure(ics), strategy)
+    let engine = crate::batch::shared_engine(ics, strategy);
+    minimize_unlimited(q, engine.constraints(), strategy)
 }
 
 /// [`minimize_closed_guarded`] without limits, for the infallible
@@ -163,63 +164,6 @@ pub(crate) fn note_budget_trip(e: &Error) {
 pub fn is_minimal(q: &TreePattern) -> bool {
     let m = crate::incremental::cim(q);
     m.size() == q.size() && isomorphic(&m, q)
-}
-
-/// Entries kept in the process-wide closure cache. Sets are compared by
-/// value, so the probe is `O(|ics|)` — noise against the `O(T²)` fixpoint
-/// it avoids — and collisions are impossible.
-const CLOSURE_CACHE_CAPACITY: usize = 8;
-
-/// Cache entries: the original set paired with its shared closure.
-type ClosureCache = Vec<(ConstraintSet, Arc<ConstraintSet>)>;
-
-/// The process-wide closure cache behind [`cached_closure`].
-fn closure_cache() -> &'static Mutex<ClosureCache> {
-    static CACHE: OnceLock<Mutex<ClosureCache>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Snapshot the process-wide closure cache as `(original, closed)` pairs
-/// in LRU order (most recently used first). Serialization half of the
-/// serve layer's warm-restart snapshots.
-pub fn export_closures() -> Vec<(ConstraintSet, ConstraintSet)> {
-    let entries = closure_cache().lock().expect("closure cache poisoned");
-    entries.iter().map(|(original, closed)| (original.clone(), (**closed).clone())).collect()
-}
-
-/// Seed the process-wide closure cache with a previously exported
-/// `(original, closed)` pair. `closed` **must** be the closure of
-/// `original` (snapshots are checksummed, so a faithful restore
-/// guarantees this); a wrong pairing would serve wrong closures.
-/// Inserted at the LRU front; the capacity bound still applies.
-pub fn import_closure(original: ConstraintSet, closed: ConstraintSet) {
-    let mut entries = closure_cache().lock().expect("closure cache poisoned");
-    entries.retain(|(o, _)| *o != original);
-    entries.insert(0, (original, Arc::new(closed)));
-    entries.truncate(CLOSURE_CACHE_CAPACITY);
-}
-
-/// Empty the process-wide closure cache (test isolation and the cold-start
-/// halves of warm-restart benchmarks).
-pub fn clear_closure_cache() {
-    closure_cache().lock().expect("closure cache poisoned").clear();
-}
-
-/// The closure of `ics`, from the cache when this set was seen recently.
-fn cached_closure(ics: &ConstraintSet) -> Arc<ConstraintSet> {
-    let mut entries = closure_cache().lock().expect("closure cache poisoned");
-    if let Some(pos) = entries.iter().position(|(original, _)| original == ics) {
-        let hit = entries.remove(pos);
-        let closed = Arc::clone(&hit.1);
-        entries.insert(0, hit); // move to front (LRU)
-        tpq_obs::incr("closure.cache.hit", 1);
-        return closed;
-    }
-    let closed = Arc::new(ics.closure());
-    tpq_obs::incr("closure.recomputed", 1);
-    entries.insert(0, (ics.clone(), Arc::clone(&closed)));
-    entries.truncate(CLOSURE_CACHE_CAPACITY);
-    closed
 }
 
 #[cfg(test)]
@@ -363,23 +307,35 @@ mod tests {
 
     #[test]
     fn repeated_one_shot_calls_reuse_the_closure() {
-        // Counters only move while the obs layer is enabled. reset()
-        // isolates this assertion from whatever ran before it in the
-        // binary; other tests may still add hits concurrently, so the
-        // assertion is a floor, not an equality.
+        // Counters only move while the obs layer is enabled. They are
+        // process-wide and other tests bump them concurrently, so the hit
+        // count is a floor, and the recompute count is the fewest seen
+        // over a few windows, each on a constraint set of its own: three
+        // calls that each closed the set would add 3 in every window.
         tpq_obs::set_enabled(true);
-        tpq_obs::reset();
-        let (q, ics, _) =
-            setup("Book*[/Title][/Publisher][//LastName]", "Book -> Publisher\nBook ->> LastName");
-        let hits_before = tpq_obs::report().counter("closure.cache.hit");
-        let a = minimize(&q, &ics).pattern;
-        let b = minimize(&q, &ics).pattern;
-        let c = minimize(&q, &ics).pattern;
-        let hits_after = tpq_obs::report().counter("closure.cache.hit");
-        assert!(
-            hits_after >= hits_before + 2,
-            "second and third calls must hit the closure cache ({hits_before} -> {hits_after})"
-        );
-        assert!(isomorphic(&a, &b) && isomorphic(&b, &c));
+        let (hits, recomputes) =
+            (tpq_obs::counter("engine.cache.hit"), tpq_obs::counter("engine.recomputed"));
+        let mut tys = TypeInterner::new();
+        let q = parse_pattern("Book*[/Title][/Publisher][//LastName]", &mut tys).unwrap();
+        let mut fewest = u64::MAX;
+        for window in 0..5 {
+            let ics = parse_constraints(
+                &format!("Book -> Publisher\nBook ->> LastName\nTitle -> Page{window}"),
+                &mut tys,
+            )
+            .unwrap();
+            let (hits_before, recomputes_before) = (hits.get(), recomputes.get());
+            let a = minimize(&q, &ics).pattern;
+            let b = minimize(&q, &ics).pattern;
+            let c = minimize(&q, &ics).pattern;
+            let hits_after = hits.get();
+            fewest = fewest.min(recomputes.get() - recomputes_before);
+            assert!(
+                hits_after >= hits_before + 2,
+                "second and third calls must hit the engine table ({hits_before} -> {hits_after})"
+            );
+            assert!(isomorphic(&a, &b) && isomorphic(&b, &c));
+        }
+        assert!(fewest <= 1, "the closure is computed at most once, not {fewest} times");
     }
 }

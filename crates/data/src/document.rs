@@ -33,7 +33,7 @@ pub struct DataNode {
     pub parent: Option<DataNodeId>,
     /// Children in document order.
     pub children: Vec<DataNodeId>,
-    /// Attribute values (`name id -> value`; first entry per name wins).
+    /// Attribute values (`name id -> value`; at most one entry per name).
     pub attrs: Vec<(TypeId, Value)>,
 }
 
@@ -116,10 +116,14 @@ impl Document {
         self.nodes[id.index()].types.insert(ty);
     }
 
-    /// Set an attribute value on a node (appends; earlier entries win on
-    /// lookup, so use once per name).
+    /// Set an attribute value on a node, replacing any earlier value of
+    /// the same name.
     pub fn set_attr(&mut self, id: DataNodeId, name: TypeId, value: Value) {
-        self.nodes[id.index()].attrs.push((name, value));
+        let attrs = &mut self.nodes[id.index()].attrs;
+        match attrs.iter_mut().find(|(a, _)| *a == name) {
+            Some((_, old)) => *old = value,
+            None => attrs.push((name, value)),
+        }
     }
 
     /// Iterate over all node ids in arena (pre-insertion) order.
@@ -246,6 +250,16 @@ mod tests {
         let c = d.add_child(b, TypeId(2));
         let e = d.add_child(d.root(), TypeId(3));
         (d, vec![DataNodeId(0), b, c, e])
+    }
+
+    #[test]
+    fn set_attr_overwrites_an_existing_value() {
+        let (mut d, ids) = doc();
+        let level = TypeId(9);
+        d.set_attr(ids[1], level, Value::Int(1));
+        d.set_attr(ids[1], level, Value::Int(3));
+        assert_eq!(d.node(ids[1]).attr(level), Some(&Value::Int(3)));
+        assert_eq!(d.node(ids[1]).attrs.len(), 1);
     }
 
     #[test]

@@ -414,8 +414,13 @@ impl XmlParser<'_> {
         // round-trips `Value::Str("5")`).
         let mut extra = Vec::new();
         let mut attrs: Vec<(TypeId, Value)> = Vec::new();
+        // XML 1.0 "Unique Att Spec": a start tag names each attribute once.
+        let mut seen: Vec<String> = Vec::new();
         while self.peek().is_some_and(|b| b.is_ascii_alphabetic() || b == b'_') {
             let attr_name = self.parse_name()?;
+            if seen.contains(&attr_name) {
+                return Err(self.err(&format!("duplicate attribute '{attr_name}'")));
+            }
             self.skip_ws();
             if self.peek() != Some(b'=') {
                 return Err(self.err(&format!("expected '=' after attribute '{attr_name}'")));
@@ -442,6 +447,7 @@ impl XmlParser<'_> {
                 };
                 attrs.push((types.intern(&attr_name), v));
             }
+            seen.push(attr_name);
             self.skip_ws();
         }
         // Self-closing?
@@ -716,6 +722,7 @@ mod tests {
             "<a><b/></a></a>",
             "<!-- only a comment -->",
             "<a></a x>",
+            r#"<a x="1" x="2"/>"#,
         ];
         for case in cases {
             let mut tys = TypeInterner::new();

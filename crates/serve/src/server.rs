@@ -555,7 +555,6 @@ fn stats_json(state: &ServerState) -> Json {
                 ("restore", Json::Str(state.restore.outcome.to_owned())),
                 ("restored_engines", Json::Int(state.restore.stats.engines as i64)),
                 ("restored_patterns", Json::Int(state.restore.stats.patterns as i64)),
-                ("restored_closures", Json::Int(state.restore.stats.closures as i64)),
                 ("bytes", Json::Int(state.restore.stats.bytes as i64)),
                 ("created_unix_ms", Json::Int(state.restore.stats.created_unix_ms as i64)),
             ]),

@@ -1,14 +1,14 @@
-//! Warm-restart snapshots of the three serve-layer cache levels.
+//! Warm-restart snapshots of the two serve-layer cache levels.
 //!
 //! A snapshot captures, in one versioned and checksummed JSON file:
 //!
-//! 1. the **canonical-pattern memo** of every engine in the process-wide
-//!    [`tpq_core::shared_engine`] LRU (keys as the hex of their canonical
-//!    bytes, minimized patterns as DSL text);
-//! 2. the **closure LRU** of one-shot minimization
-//!    ([`tpq_core::export_closures`]);
-//! 3. the **type-interner name table**, in id order — the ground truth
-//!    that makes the first two portable across processes.
+//! 1. every engine in the process-wide [`tpq_core::shared_engine`] LRU:
+//!    its closed constraint set and its **canonical-pattern memo** (keys
+//!    as the hex of their canonical bytes, minimized patterns as DSL
+//!    text). This table is the process's one cache of closed schemas;
+//!    one-shot minimization reads its closed sets from it too;
+//! 2. the **type-interner name table**, in id order — the ground truth
+//!    that makes the engines portable across processes.
 //!
 //! [`write_snapshot`] runs on server drain (`tpq serve --snapshot`);
 //! [`restore_snapshot`] runs at bind (`--restore`). Restores are
@@ -44,11 +44,12 @@ use tpq_pattern::print::to_dsl;
 use tpq_pattern::{parse_pattern, CanonicalKey, TreePattern};
 
 /// Snapshot file schema version. Bump on any shape change; restores
-/// reject every version but the current one. Version 2 stores memo keys
-/// as the lowercase hex of the binary canonical key; version 1 held the
-/// older string encoding, which no longer matches any key this build
-/// computes.
-pub const SCHEMA_VERSION: i64 = 2;
+/// reject every version but the current one. Version 3 drops the
+/// `closures` section, whose closure LRU folded into the engine table.
+/// Version 2 introduced memo keys as the lowercase hex of the binary
+/// canonical key; version 1 held the older string encoding, which no
+/// longer matches any key this build computes.
+pub const SCHEMA_VERSION: i64 = 3;
 
 /// What a snapshot write or restore covered.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -57,8 +58,6 @@ pub struct SnapshotStats {
     pub engines: usize,
     /// Memoized canonical patterns summed over all engines.
     pub patterns: usize,
-    /// Entries in the closure LRU.
-    pub closures: usize,
     /// Snapshot file size in bytes.
     pub bytes: u64,
     /// When the snapshot was written (milliseconds since the Unix epoch).
@@ -181,28 +180,12 @@ fn now_unix_ms() -> u64 {
 /// that is [`crate::global_types`].
 pub fn write_snapshot(path: &Path, types: &TypeInterner) -> std::io::Result<SnapshotStats> {
     let created_unix_ms = now_unix_ms();
-    let closures = tpq_core::export_closures();
     let engines = tpq_core::export_engines();
-    let mut stats = SnapshotStats {
-        engines: engines.len(),
-        closures: closures.len(),
-        created_unix_ms,
-        ..SnapshotStats::default()
-    };
+    let mut stats =
+        SnapshotStats { engines: engines.len(), created_unix_ms, ..SnapshotStats::default() };
 
     let type_table =
         Json::Array(types.iter().map(|(_, name)| Json::Str(name.to_owned())).collect());
-    let closure_entries = Json::Array(
-        closures
-            .iter()
-            .map(|(input, closed)| {
-                Json::object(vec![
-                    ("input", constraint_lines(input, types)),
-                    ("closed", constraint_lines(closed, types)),
-                ])
-            })
-            .collect(),
-    );
     let engine_entries = Json::Array(
         engines
             .iter()
@@ -233,7 +216,6 @@ pub fn write_snapshot(path: &Path, types: &TypeInterner) -> std::io::Result<Snap
     let payload = Json::object(vec![
         ("created_unix_ms", Json::Int(created_unix_ms as i64)),
         ("types", type_table),
-        ("closures", closure_entries),
         ("engines", engine_entries),
     ]);
     let payload_text = payload.to_string_compact();
@@ -339,25 +321,6 @@ fn restore_inner(path: &Path, types: &mut TypeInterner) -> Result<SnapshotStats,
     }
 
     // Parse everything into staging before committing anything.
-    let mut staged_closures: Vec<(ConstraintSet, ConstraintSet)> = Vec::new();
-    for entry in payload
-        .get("closures")
-        .and_then(Json::as_array)
-        .ok_or_else(|| reject("missing closures"))?
-    {
-        let input = parse_lines(
-            entry.get("input").ok_or_else(|| reject("closure entry missing input"))?,
-            "closure input",
-            types,
-        )?;
-        let closed = parse_lines(
-            entry.get("closed").ok_or_else(|| reject("closure entry missing closed"))?,
-            "closure closed",
-            types,
-        )?;
-        staged_closures.push((input, closed));
-    }
-
     struct StagedEngine {
         ics: ConstraintSet,
         closed: ConstraintSet,
@@ -401,16 +364,7 @@ fn restore_inner(path: &Path, types: &mut TypeInterner) -> Result<SnapshotStats,
 
     // Commit. Exports are most-recently-used first and imports insert at
     // the LRU front, so committing in reverse re-creates the order.
-    let stats = SnapshotStats {
-        engines: staged_engines.len(),
-        patterns,
-        closures: staged_closures.len(),
-        bytes,
-        created_unix_ms,
-    };
-    for (input, closed) in staged_closures.into_iter().rev() {
-        tpq_core::import_closure(input, closed);
-    }
+    let stats = SnapshotStats { engines: staged_engines.len(), patterns, bytes, created_unix_ms };
     for staged in staged_engines.into_iter().rev() {
         let engine = BatchMinimizer::from_parts(staged.closed, staged.strategy);
         engine.import_memo(staged.memo);

@@ -1,4 +1,4 @@
-//! Robustness tests for warm-restart snapshots: round-trip of all three
+//! Robustness tests for warm-restart snapshots: round-trip of both
 //! cache layers, rejection of damaged files, and atomicity of the write.
 //!
 //! The caches and the serve-layer interner are process-wide, so every
@@ -34,8 +34,8 @@ fn warm(query: &str, constraints: &str) -> (tpq_constraints::ConstraintSet, Stri
     let ics = tpq_constraints::parse_constraints(constraints, &mut types).expect("constraints");
     let q = parse_pattern(query, &mut types).expect("query");
     drop(types);
-    // The one-shot path populates the closure LRU; the engine path
-    // populates the shared-engine LRU and its canonical-pattern memo.
+    // The one-shot path builds the shared engine (its closed set); the
+    // engine path then fills the engine's canonical-pattern memo.
     let one_shot = tpq_core::minimize(&q, &ics).pattern;
     let engine = shared_engine(&ics, Strategy::default());
     let cached = engine.minimize_cached_guarded(&q, &tpq_base::Guard::unlimited()).unwrap().pattern;
@@ -48,7 +48,7 @@ fn warm(query: &str, constraints: &str) -> (tpq_constraints::ConstraintSet, Stri
 }
 
 #[test]
-fn round_trip_restores_all_three_cache_layers() {
+fn round_trip_restores_both_cache_layers() {
     let _guard = lock();
     clear_shared_caches();
     let (ics, minimized) =
@@ -61,19 +61,17 @@ fn round_trip_restores_all_three_cache_layers() {
     };
     assert_eq!(stats.engines, 1);
     assert_eq!(stats.patterns, 1);
-    assert_eq!(stats.closures, 1, "the one-shot call populated the closure LRU");
     assert!(stats.bytes > 0 && stats.created_unix_ms > 0);
 
     // Cold half of the restart: every cache layer emptied.
     clear_shared_caches();
     assert!(tpq_core::export_engines().is_empty());
-    assert!(tpq_core::export_closures().is_empty());
 
     let restored = {
         let mut types = global_types().lock().unwrap();
         restore_snapshot(&path, &mut types).expect("restore")
     };
-    assert_eq!((restored.engines, restored.patterns, restored.closures), (1, 1, 1));
+    assert_eq!((restored.engines, restored.patterns), (1, 1));
     assert_eq!(restored.created_unix_ms, stats.created_unix_ms);
 
     // The restored engine must answer the query from the memo (a cache
@@ -88,11 +86,6 @@ fn round_trip_restores_all_three_cache_layers() {
     let types = global_types().lock().unwrap();
     assert_eq!(tpq_pattern::print::to_dsl(&out.pattern, &types), minimized);
     drop(types);
-
-    // The closure layer restored too: export shows the original pair.
-    let closures = tpq_core::export_closures();
-    assert_eq!(closures.len(), 1);
-    assert_eq!(closures[0].0, ics);
     clear_shared_caches();
 }
 
@@ -144,7 +137,7 @@ fn damaged_snapshots_are_rejected_and_the_server_starts_cold() {
             err.reason
         );
         assert!(
-            tpq_core::export_engines().is_empty() && tpq_core::export_closures().is_empty(),
+            tpq_core::export_engines().is_empty(),
             "a rejected restore must leave the caches untouched"
         );
     }
@@ -233,18 +226,19 @@ fn first_memo_key(text: &str) -> &str {
 }
 
 #[test]
-fn schema_2_round_trip_serves_warm_hits_to_isomorphic_queries() {
+fn schema_3_round_trip_serves_warm_hits_to_isomorphic_queries() {
     let _guard = lock();
     clear_shared_caches();
-    let (ics, minimized) = warm("SnapV2A*[/SnapV2B][//SnapV2C][/SnapV2D]", "SnapV2A -> SnapV2D");
-    let path = temp_path("schema-2.json");
+    let (ics, minimized) = warm("SnapV3A*[/SnapV3B][//SnapV3C][/SnapV3D]", "SnapV3A -> SnapV3D");
+    let path = temp_path("schema-3.json");
     {
         let types = global_types().lock().unwrap();
         write_snapshot(&path, &types).expect("write");
     }
     let text = std::fs::read_to_string(&path).unwrap();
-    assert_eq!(SCHEMA_VERSION, 2);
-    assert!(text.starts_with("{\"schema\":2,"), "{text}");
+    assert_eq!(SCHEMA_VERSION, 3);
+    assert!(text.starts_with("{\"schema\":3,"), "{text}");
+    assert!(!text.contains("\"closures\""), "schema 3 has no closures section: {text}");
     let key = first_memo_key(&text);
     assert!(
         !key.is_empty() && key.bytes().all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b)),
@@ -260,7 +254,7 @@ fn schema_2_round_trip_serves_warm_hits_to_isomorphic_queries() {
     // Siblings reordered: a different pattern, the same canonical key.
     let q = {
         let mut types = global_types().lock().unwrap();
-        parse_pattern("SnapV2A*[/SnapV2D][/SnapV2B]//SnapV2C", &mut types).unwrap()
+        parse_pattern("SnapV3A*[/SnapV3D][/SnapV3B]//SnapV3C", &mut types).unwrap()
     };
     let out = shared_engine(&ics, Strategy::default())
         .minimize_cached_guarded(&q, &tpq_base::Guard::unlimited())
@@ -282,37 +276,43 @@ fn schema_1_snapshots_are_rejected_and_the_server_starts_cold() {
         let types = global_types().lock().unwrap();
         write_snapshot(&path, &types).expect("write");
     }
-    // What the previous build wrote: schema 1, memo keys as the string
-    // canonical form rather than hex.
     let text = std::fs::read_to_string(&path).unwrap();
+    let current = format!("\"schema\":{SCHEMA_VERSION}");
+    // What schema-1 builds wrote: memo keys as the string canonical form
+    // rather than hex.
     let key = first_memo_key(&text).to_owned();
-    let old = text.replacen(&format!("\"schema\":{SCHEMA_VERSION}"), "\"schema\":1", 1).replacen(
-        &key,
-        "(0,*/(1,)/(2,))",
+    let v1 = text.replacen(&current, "\"schema\":1", 1).replacen(&key, "(0,*/(1,)/(2,))", 1);
+    // What schema-2 builds wrote: a closures array in the payload.
+    let v2 = text.replacen(&current, "\"schema\":2", 1).replacen(
+        ",\"engines\":[",
+        ",\"closures\":[],\"engines\":[",
         1,
     );
-    std::fs::write(&path, old).unwrap();
+    assert!(v2.contains("\"closures\":[]"), "{v2}");
 
-    clear_shared_caches();
     tpq_obs::set_enabled(true);
     let rejected = tpq_obs::counter("snapshot.restore.rejected");
-    let before = rejected.get();
-    let err = {
-        let mut types = global_types().lock().unwrap();
-        restore_snapshot(&path, &mut types).expect_err("schema 1 must be rejected")
-    };
-    assert!(err.reason.contains("schema version 1"), "{err}");
-    assert!(rejected.get() > before, "counted as snapshot.restore.rejected");
-    assert!(tpq_core::export_engines().is_empty(), "nothing restored");
+    for (version, old) in [(1, v1), (2, v2)] {
+        std::fs::write(&path, old).unwrap();
+        clear_shared_caches();
+        let before = rejected.get();
+        let err = {
+            let mut types = global_types().lock().unwrap();
+            restore_snapshot(&path, &mut types).expect_err("old schemas must be rejected")
+        };
+        assert!(err.reason.contains(&format!("schema version {version}")), "{err}");
+        assert!(rejected.get() > before, "counted as snapshot.restore.rejected");
+        assert!(tpq_core::export_engines().is_empty(), "nothing restored");
 
-    let server = Server::bind(ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        jobs: 1,
-        restore: Some(path.clone()),
-        ..ServeConfig::default()
-    })
-    .expect("bind must survive an old snapshot");
-    assert_eq!(server.handle().restore_status().outcome, "rejected");
-    assert!(tpq_core::export_engines().is_empty(), "the server starts cold");
+        let server = Server::bind(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            jobs: 1,
+            restore: Some(path.clone()),
+            ..ServeConfig::default()
+        })
+        .expect("bind must survive an old snapshot");
+        assert_eq!(server.handle().restore_status().outcome, "rejected");
+        assert!(tpq_core::export_engines().is_empty(), "the server starts cold");
+    }
     clear_shared_caches();
 }
