@@ -93,8 +93,9 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Run one unit of pool work behind the `pool.task` failpoint and a panic
 /// shield: a panic in `f` (or an injected one) comes back as
 /// [`Error::WorkerPanic`] instead of unwinding the caller. The scoped
-/// maps run every item through this, and `tpq-serve` runs every admitted
-/// request through it on a [`TaskPool`] worker.
+/// maps run every item through this, and `tpq-serve` runs the first half
+/// of every admitted request through it (on its reactor thread or a
+/// [`TaskPool`] worker).
 ///
 /// ```
 /// use tpq_base::{pool::shielded, Error};
@@ -106,10 +107,18 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 pub fn shielded<R>(f: impl FnOnce() -> Result<R>) -> Result<R> {
     // The failpoint fires inside the shield so an injected panic is
     // captured exactly like one from the task itself.
-    match std::panic::catch_unwind(AssertUnwindSafe(|| {
+    catch_panic(|| {
         failpoint::hit("pool.task")?;
         f()
-    })) {
+    })
+}
+
+/// [`shielded`] without the `pool.task` failpoint: the panic shield for
+/// the rest of a unit of work whose first part already passed the
+/// failpoint, so that the unit meets it exactly once. `tpq-serve` runs the
+/// second half of a memo miss its reactor prepared through this.
+pub fn catch_panic<R>(f: impl FnOnce() -> Result<R>) -> Result<R> {
+    match std::panic::catch_unwind(AssertUnwindSafe(f)) {
         Ok(result) => result,
         Err(payload) => Err(Error::WorkerPanic { message: panic_message(payload) }),
     }

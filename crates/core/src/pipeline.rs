@@ -338,4 +338,27 @@ mod tests {
         }
         assert!(fewest <= 1, "the closure is computed at most once, not {fewest} times");
     }
+
+    #[test]
+    fn every_strategy_shares_one_closure_per_constraint_set() {
+        // Process-wide counters: take the fewest recomputes over a few
+        // windows, each on a set of its own, as in the test above.
+        tpq_obs::set_enabled(true);
+        let recomputes = tpq_obs::counter("engine.recomputed");
+        let mut tys = TypeInterner::new();
+        let q = parse_pattern("Mug*[/Handle][//Glaze]", &mut tys).unwrap();
+        let mut fewest = u64::MAX;
+        for window in 0..5 {
+            let ics = parse_constraints(&format!("Mug -> Handle\nMug ->> Glaze{window}"), &mut tys)
+                .unwrap();
+            let before = recomputes.get();
+            for strategy in
+                [Strategy::CimOnly, Strategy::AcimOnly, Strategy::CdmOnly, Strategy::CdmThenAcim]
+            {
+                minimize_with(&q, &ics, strategy);
+            }
+            fewest = fewest.min(recomputes.get() - before);
+        }
+        assert_eq!(fewest, 1, "four strategies on one fresh set close it once");
+    }
 }

@@ -65,6 +65,9 @@ fn help_for(internal: &str) -> Option<&'static str> {
         // Serve counters.
         "serve.request.ok" => "Requests answered successfully.",
         "serve.request.error" => "Requests answered with an error response.",
+        "serve.request.inline" => {
+            "Requests answered on the reactor thread (memo hits and early errors), not the pool."
+        }
         "serve.conn.accepted" => "Connections accepted.",
         "serve.conn.refused" => "Connections refused at the max-conns limit.",
         "serve.accept.errors" => {

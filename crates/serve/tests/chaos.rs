@@ -168,9 +168,20 @@ fn saturated_queue_sheds_typed_errors_and_never_wrong_answers() {
     let mut plug_conn = connect(addr);
     writeln!(plug_conn.get_mut(), "{}", request_line(&plug, "", Some(150))).unwrap();
     std::thread::sleep(Duration::from_millis(50));
+    // The first storm memoized small_q: the reactor answers it from the
+    // memo without the plugged worker.
+    let hit = Json::parse(&round_trip(&mut connect(addr), &request_line(small_q, "", None)))
+        .expect("response JSON");
+    assert_eq!(hit.get("minimized").and_then(Json::as_str), Some(expected.as_str()), "{hit:?}");
+    let cache_hit = hit.get("stats").and_then(|s| s.get("cache_hit")).and_then(Json::as_bool);
+    assert_eq!(cache_hit, Some(true), "{hit:?}");
+    // So each retrying client sends a query of its own that no one has
+    // sent before: a miss, which needs the plugged worker.
     let retried: Vec<_> = (0..BURST)
         .map(|i| {
-            let req = Json::object(vec![("query", Json::Str(small_q.to_owned()))]);
+            let query = format!("ChaosShedA*[/ChaosShedR{i}][/ChaosShedR{i}][//ChaosShedC]");
+            let expected = expected_minimization(&query, "");
+            let req = Json::object(vec![("query", Json::Str(query))]);
             std::thread::spawn(move || {
                 let mut client = Client::new(
                     addr.to_string(),
@@ -181,13 +192,13 @@ fn saturated_queue_sheds_typed_errors_and_never_wrong_answers() {
                         ..RetryPolicy::default()
                     },
                 );
-                client.query(&req).expect("retrying client must eventually succeed")
+                (client.query(&req).expect("retrying client must eventually succeed"), expected)
             })
         })
         .collect();
     let mut retried_more_than_once = 0;
     for t in retried {
-        let outcome = t.join().unwrap();
+        let (outcome, expected) = t.join().unwrap();
         assert_eq!(outcome.minimized, expected);
         if outcome.attempts > 1 {
             retried_more_than_once += 1;
