@@ -14,10 +14,8 @@
 //!
 //! Tasks are *isolated*: every task runs under `catch_unwind`, so one
 //! panicking item becomes an [`Error::WorkerPanic`] entry in the result
-//! of [`scoped_map_isolated`] while the remaining items complete — the
-//! pool, and the process, survive. The infallible [`scoped_map`] wrapper
-//! keeps the old calling convention and re-raises the first task failure
-//! on the calling thread.
+//! of [`scoped_map`] while the remaining items complete — the pool, and
+//! the process, survive.
 //!
 //! For workloads that outlive any single batch — the `tpq-serve` request
 //! loop — [`TaskPool`] keeps a fixed set of workers alive and executes
@@ -27,8 +25,9 @@
 //! ```
 //! let (squares, stats) = tpq_base::pool::scoped_map(4, &[1u64, 2, 3, 4, 5], |ctx, &x| {
 //!     assert!(ctx.worker < 4);
-//!     x * x
+//!     Ok(x * x)
 //! });
+//! let squares: Vec<u64> = squares.into_iter().map(Result::unwrap).collect();
 //! assert_eq!(squares, vec![1, 4, 9, 16, 25]);
 //! assert_eq!(stats.executed.iter().sum::<u64>(), 5);
 //! ```
@@ -131,31 +130,11 @@ pub fn catch_panic<R>(f: impl FnOnce() -> Result<R>) -> Result<R> {
 /// runs inline on the calling thread with no scheduling overhead, so the
 /// function is safe to call unconditionally on small inputs.
 ///
-/// Task failures (panics, injected faults) are re-raised as a panic on
-/// the calling thread, preserving the historical contract. Callers that
-/// want per-task isolation use [`scoped_map_isolated`].
-pub fn scoped_map<T, R, F>(jobs: usize, items: &[T], f: F) -> (Vec<R>, PoolStats)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(TaskCtx, &T) -> R + Sync,
-{
-    let (results, stats) = scoped_map_isolated(jobs, items, |ctx, item| Ok(f(ctx, item)));
-    let results = results
-        .into_iter()
-        .map(|r| match r {
-            Ok(v) => v,
-            Err(e) => panic!("pool task failed: {e}"),
-        })
-        .collect();
-    (results, stats)
-}
-
-/// [`scoped_map`] with per-task fault isolation: the mapped closure is
-/// fallible, every call runs under `catch_unwind`, and each item yields
-/// `Ok(R)` or the `Err` that stopped it — a panicking or erroring item
-/// never disturbs the others. `stats.panics` counts captured panics.
-pub fn scoped_map_isolated<T, R, F>(jobs: usize, items: &[T], f: F) -> (Vec<Result<R>>, PoolStats)
+/// Tasks are isolated: the mapped closure is fallible, every call runs
+/// under `catch_unwind`, and each item yields `Ok(R)` or the `Err` that
+/// stopped it — a panicking or erroring item never disturbs the others.
+/// `stats.panics` counts captured panics.
+pub fn scoped_map<T, R, F>(jobs: usize, items: &[T], f: F) -> (Vec<Result<R>>, PoolStats)
 where
     T: Sync,
     R: Send,
@@ -467,12 +446,17 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
 
+    /// The values of an all-`Ok` result vector.
+    fn values<R: std::fmt::Debug>(out: Vec<Result<R>>) -> Vec<R> {
+        out.into_iter().map(Result::unwrap).collect()
+    }
+
     #[test]
     fn results_preserve_input_order() {
         let items: Vec<u64> = (0..1000).collect();
         for jobs in [1, 2, 3, 8] {
-            let (out, stats) = scoped_map(jobs, &items, |_, &x| x * 2);
-            assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>(), "jobs={jobs}");
+            let (out, stats) = scoped_map(jobs, &items, |_, &x| Ok(x * 2));
+            assert_eq!(values(out), items.iter().map(|x| x * 2).collect::<Vec<_>>(), "jobs={jobs}");
             assert_eq!(stats.executed.iter().sum::<u64>(), 1000);
             assert_eq!(stats.workers, jobs);
         }
@@ -484,22 +468,22 @@ mod tests {
         let items: Vec<usize> = (0..257).collect();
         let (out, _) = scoped_map(4, &items, |_, &i| {
             counter.fetch_add(1, Ordering::Relaxed);
-            i
+            Ok(i)
         });
         assert_eq!(counter.load(Ordering::Relaxed), 257);
-        assert_eq!(out, items);
+        assert_eq!(values(out), items);
     }
 
     #[test]
     fn more_jobs_than_items_clamps() {
-        let (out, stats) = scoped_map(64, &[1, 2, 3], |_, &x| x);
-        assert_eq!(out, vec![1, 2, 3]);
+        let (out, stats) = scoped_map(64, &[1, 2, 3], |_, &x| Ok(x));
+        assert_eq!(values(out), vec![1, 2, 3]);
         assert!(stats.workers <= 3);
     }
 
     #[test]
     fn empty_input_is_fine() {
-        let (out, stats) = scoped_map(4, &[] as &[u32], |_, &x| x);
+        let (out, stats) = scoped_map(4, &[] as &[u32], |_, &x| Ok(x));
         assert!(out.is_empty());
         assert_eq!(stats.workers, 1);
         assert_eq!(stats.steals, 0);
@@ -516,9 +500,9 @@ mod tests {
             if x == 0 {
                 std::thread::sleep(Duration::from_millis(20));
             }
-            x
+            Ok(x)
         });
-        assert_eq!(out, items);
+        assert_eq!(values(out), items);
         assert_eq!(stats.executed.iter().sum::<u64>(), 64);
         assert!(stats.busy.iter().any(|b| *b >= Duration::from_millis(20)));
     }
@@ -529,7 +513,7 @@ mod tests {
         let (_, stats) = scoped_map(5, &items, |ctx, &x| {
             assert!(ctx.worker < 5);
             assert_eq!(ctx.index as u32, x);
-            x
+            Ok(x)
         });
         assert_eq!(stats.executed.len(), 5);
         assert_eq!(stats.busy.len(), 5);
@@ -542,7 +526,7 @@ mod tests {
         // order, on every jobs setting.
         let items: Vec<u64> = (0..8).collect();
         for jobs in [1, 2, 4, 8] {
-            let (out, stats) = scoped_map_isolated(jobs, &items, |_, &x| {
+            let (out, stats) = scoped_map(jobs, &items, |_, &x| {
                 if x == 3 {
                     panic!("poisoned item {x}");
                 }
@@ -568,22 +552,22 @@ mod tests {
     #[test]
     fn pool_is_usable_after_a_panicking_batch() {
         let items: Vec<u64> = (0..8).collect();
-        let (_, _) = scoped_map_isolated(4, &items, |_, &x| {
+        let (_, _) = scoped_map(4, &items, |_, &x| {
             if x % 2 == 0 {
                 panic!("even");
             }
             Ok(x)
         });
         // A fresh batch on the same thread works normally.
-        let (out, stats) = scoped_map(4, &items, |_, &x| x + 1);
-        assert_eq!(out, (1..=8).collect::<Vec<_>>());
+        let (out, stats) = scoped_map(4, &items, |_, &x| Ok(x + 1));
+        assert_eq!(values(out), (1..=8).collect::<Vec<_>>());
         assert_eq!(stats.panics, 0);
     }
 
     #[test]
     fn fallible_tasks_return_their_errors_in_place() {
         let items: Vec<u32> = (0..6).collect();
-        let (out, stats) = scoped_map_isolated(3, &items, |_, &x| {
+        let (out, stats) = scoped_map(3, &items, |_, &x| {
             if x == 5 {
                 Err(Error::InvalidPattern("bad".into()))
             } else {
@@ -596,17 +580,22 @@ mod tests {
     }
 
     #[test]
-    fn infallible_wrapper_reraises_task_panics() {
+    fn task_panics_come_back_as_entries_not_as_unwinds() {
         let caught = std::panic::catch_unwind(|| {
             scoped_map(2, &[1u32, 2, 3], |_, &x| {
                 if x == 2 {
                     panic!("kaboom");
                 }
-                x
+                Ok(x)
             })
         });
-        let message = panic_message(caught.unwrap_err());
-        assert!(message.contains("kaboom"), "{message}");
+        let (out, stats) = caught.expect("a task panic must not unwind into the caller");
+        match &out[1] {
+            Err(Error::WorkerPanic { message }) => assert!(message.contains("kaboom"), "{message}"),
+            other => panic!("expected a captured panic, got {other:?}"),
+        }
+        assert_eq!((out[0].clone(), out[2].clone()), (Ok(1), Ok(3)));
+        assert_eq!(stats.panics, 1);
     }
 
     #[test]
@@ -684,7 +673,7 @@ mod tests {
         // shared "pool.task" name deterministic under parallel tests.
         let _fp = crate::failpoint::arm_for_thread("pool.task", crate::failpoint::Action::Err, 2);
         let items: Vec<u32> = (0..4).collect();
-        let (out, _) = scoped_map_isolated(1, &items, |_, &x| Ok(x));
+        let (out, _) = scoped_map(1, &items, |_, &x| Ok(x));
         let errors: Vec<_> = out.iter().filter(|r| r.is_err()).collect();
         assert_eq!(errors.len(), 1);
         assert_eq!(out[1], Err(Error::Injected { point: "pool.task".into() }));

@@ -542,7 +542,10 @@ fn ablate_containment(cfg: &ExpConfig) -> Panel {
         for _ in 1..2 * k {
             cur = to.add_child(cur, tpq_pattern::EdgeKind::Descendant, a);
         }
-        let (p_m, r1) = measure_micros(cfg.iters, || tpq_core::has_homomorphism(&from, &to));
+        let (p_m, r1) = measure_micros(cfg.iters, || {
+            tpq_core::has_homomorphism(&from, &to, &Guard::unlimited())
+                .expect("unlimited guard cannot trip")
+        });
         let (n_m, r2) = measure_micros(3, || tpq_core::has_homomorphism_naive(&from, &to));
         assert!(!r1 && !r2);
         pruned.push(Point::timed(k, p_m));

@@ -181,9 +181,10 @@ mod tests {
         let cfg = ExpConfig::quick();
         let x = *redundancy_grid(&cfg).last().unwrap();
         let case = match_case(&cfg, x);
+        let index = tpq_data::DocIndex::build(&case.doc);
         let work = |q: &TreePattern| {
             let guard = tpq_base::Guard::with_budget(u64::MAX);
-            let answers = tpq_match::answer_set_twig_guarded(q, &case.doc, &guard).unwrap();
+            let answers = tpq_match::answer_set_twig_indexed(q, &case.doc, &index, &guard).unwrap();
             (guard.spent(), answers)
         };
         let (raw, raw_answers) = work(&case.raw);

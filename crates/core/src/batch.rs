@@ -56,7 +56,7 @@ use crate::pipeline::{minimize_closed_guarded, MinimizeOutcome, Strategy};
 use crate::stats::MinimizeStats;
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
-use tpq_base::pool::{scoped_map_isolated, PoolStats};
+use tpq_base::pool::{scoped_map, PoolStats};
 use tpq_base::{FxHashMap, Guard, Result};
 use tpq_constraints::ConstraintSet;
 use tpq_pattern::{CanonicalKey, TreePattern};
@@ -290,7 +290,7 @@ impl BatchMinimizer {
             Some(pattern) => {
                 Ok(CachedOutcome { pattern, cache_hit: true, stats: MinimizeStats::default() })
             }
-            None => self.minimize_miss_guarded(q, key, guard),
+            None => self.minimize_miss(q, key, guard),
         }
     }
 
@@ -313,7 +313,7 @@ impl BatchMinimizer {
     /// under `key`, which must be `q.canonical_key()` (the caller already
     /// built it for its [`probe`](BatchMinimizer::probe)). The memo is not
     /// consulted again; bumps `batch.cache.miss`.
-    pub fn minimize_miss_guarded(
+    pub fn minimize_miss(
         &self,
         q: &TreePattern,
         key: CanonicalKey,
@@ -412,7 +412,7 @@ impl BatchMinimizer {
         // emitted inside the pool keep the request's attribution.
         let trace = tpq_obs::current_trace();
         let (outcomes, pool): (Vec<Result<MinimizeOutcome>>, PoolStats) =
-            scoped_map_isolated(jobs, &unique, |ctx, q| {
+            scoped_map(jobs, &unique, |ctx, q| {
                 let _trace = tpq_obs::trace_scope(trace);
                 let t = Instant::now();
                 let out = minimize_closed_guarded(q, &self.closed, self.strategy, guard)?;

@@ -14,19 +14,30 @@
 //! pattern, so the recursion terminates; memoization keeps the whole test
 //! polynomial.
 
-use crate::mapping::{has_homomorphism, has_homomorphism_guarded, PatIndex};
+use crate::mapping::{has_homomorphism, PatIndex};
 use tpq_base::{FxHashMap, Guard, Result, TypeId, TypeSet};
 use tpq_constraints::ConstraintSet;
 use tpq_pattern::{EdgeKind, NodeId, TreePattern};
 
 /// `q1 ⊆ q2`: every answer of `q1` on every database is an answer of `q2`.
-pub fn contains(q1: &TreePattern, q2: &TreePattern) -> bool {
-    has_homomorphism(q2, q1)
-}
-
-/// [`contains`] under a [`Guard`].
-pub fn contains_guarded(q1: &TreePattern, q2: &TreePattern, guard: &Guard) -> Result<bool> {
-    let held = has_homomorphism_guarded(q2, q1, guard)?;
+///
+/// The candidate-table build spends guard steps; a tripped guard aborts
+/// with [`Err`] (the inputs are read-only). Emits one
+/// `containment.check` event (`kind` = `plain`).
+///
+/// ```
+/// use tpq_base::{Guard, TypeInterner};
+/// use tpq_core::contains;
+/// use tpq_pattern::parse_pattern;
+///
+/// let mut tys = TypeInterner::new();
+/// let narrow = parse_pattern("a*/b/c", &mut tys).unwrap();
+/// let wide = parse_pattern("a*/b", &mut tys).unwrap();
+/// assert!(contains(&narrow, &wide, &Guard::unlimited()).unwrap());
+/// assert!(!contains(&wide, &narrow, &Guard::unlimited()).unwrap());
+/// ```
+pub fn contains(q1: &TreePattern, q2: &TreePattern, guard: &Guard) -> Result<bool> {
+    let held = has_homomorphism(q2, q1, guard)?;
     record_check("plain", q1, q2, held);
     Ok(held)
 }
@@ -46,56 +57,62 @@ fn record_check(kind: &'static str, q1: &TreePattern, q2: &TreePattern, held: bo
     );
 }
 
-/// `q1 ≡ q2`: two-way containment.
-pub fn equivalent(q1: &TreePattern, q2: &TreePattern) -> bool {
-    contains(q1, q2) && contains(q2, q1)
-}
-
-/// [`equivalent`] under a [`Guard`].
-pub fn equivalent_guarded(q1: &TreePattern, q2: &TreePattern, guard: &Guard) -> Result<bool> {
-    Ok(contains_guarded(q1, q2, guard)? && contains_guarded(q2, q1, guard)?)
+/// `q1 ≡ q2`: two-way containment, one [`contains`] per direction (the
+/// second only when the first holds).
+pub fn equivalent(q1: &TreePattern, q2: &TreePattern, guard: &Guard) -> Result<bool> {
+    Ok(contains(q1, q2, guard)? && contains(q2, q1, guard)?)
 }
 
 /// `q1 ⊆_Σ q2`: containment over databases satisfying `ics`.
 ///
-/// `ics` need not be closed; the closure is computed internally.
-pub fn contains_under(q1: &TreePattern, q2: &TreePattern, ics: &ConstraintSet) -> bool {
-    let closed = ics.closure();
-    ContainmentUnder::new(q1, q2, &closed)
-        .check(&Guard::unlimited())
-        .expect("unlimited guard cannot trip")
-}
-
-/// [`contains_under`] under a [`Guard`]: the candidate-table build and
-/// guarantee derivations spend steps; a tripped guard aborts with
-/// [`Err`] (the inputs are read-only).
-pub fn contains_under_guarded(
+/// `ics` need not be closed; the closure is computed internally. The
+/// candidate-table build and guarantee derivations spend guard steps; a
+/// tripped guard aborts with [`Err`]. Emits one `containment.check`
+/// event (`kind` = `under`).
+///
+/// ```
+/// use tpq_base::{Guard, TypeInterner};
+/// use tpq_constraints::parse_constraints;
+/// use tpq_core::contains_under;
+/// use tpq_pattern::parse_pattern;
+///
+/// let mut tys = TypeInterner::new();
+/// let book = parse_pattern("Book*", &mut tys).unwrap();
+/// let with_pub = parse_pattern("Book*[/Publisher]", &mut tys).unwrap();
+/// let ics = parse_constraints("Book -> Publisher", &mut tys).unwrap();
+/// // Every Book has a Publisher child, so the branch adds nothing.
+/// assert!(contains_under(&book, &with_pub, &ics, &Guard::unlimited()).unwrap());
+/// ```
+pub fn contains_under(
     q1: &TreePattern,
     q2: &TreePattern,
     ics: &ConstraintSet,
     guard: &Guard,
 ) -> Result<bool> {
-    let closed = ics.closure();
-    let held = ContainmentUnder::new(q1, q2, &closed).check(guard)?;
+    contains_closed(q1, q2, &ics.closure(), guard)
+}
+
+/// [`contains_under`] over a set that is already closed.
+fn contains_closed(
+    q1: &TreePattern,
+    q2: &TreePattern,
+    closed: &ConstraintSet,
+    guard: &Guard,
+) -> Result<bool> {
+    let held = ContainmentUnder::new(q1, q2, closed).check(guard)?;
     record_check("under", q1, q2, held);
     Ok(held)
 }
 
-/// `q1 ≡_Σ q2`: two-way containment under `ics`.
-pub fn equivalent_under(q1: &TreePattern, q2: &TreePattern, ics: &ConstraintSet) -> bool {
-    equivalent_under_guarded(q1, q2, ics, &Guard::unlimited()).expect("unlimited guard cannot trip")
-}
-
-/// [`equivalent_under`] under a [`Guard`].
-pub fn equivalent_under_guarded(
+/// `q1 ≡_Σ q2`: two-way containment under `ics`, closed once.
+pub fn equivalent_under(
     q1: &TreePattern,
     q2: &TreePattern,
     ics: &ConstraintSet,
     guard: &Guard,
 ) -> Result<bool> {
     let closed = ics.closure();
-    Ok(ContainmentUnder::new(q1, q2, &closed).check(guard)?
-        && ContainmentUnder::new(q2, q1, &closed).check(guard)?)
+    Ok(contains_closed(q1, q2, &closed, guard)? && contains_closed(q2, q1, &closed, guard)?)
 }
 
 struct ContainmentUnder<'a> {
@@ -298,9 +315,9 @@ mod tests {
     fn plain_containment_is_hom_in_reverse() {
         let (a, b, _, _) = setup("a*/b/c", "a*/b", "");
         // a/b/c is more restrictive: a/b/c ⊆ a/b.
-        assert!(contains(&a, &b));
-        assert!(!contains(&b, &a));
-        assert!(!equivalent(&a, &b));
+        assert!(contains(&a, &b, &Guard::unlimited()).unwrap());
+        assert!(!contains(&b, &a, &Guard::unlimited()).unwrap());
+        assert!(!equivalent(&a, &b, &Guard::unlimited()).unwrap());
     }
 
     #[test]
@@ -310,7 +327,7 @@ mod tests {
             "OrgUnit*/Dept/Researcher//DBProject",
             "",
         );
-        assert!(equivalent(&h, &i));
+        assert!(equivalent(&h, &i, &Guard::unlimited()).unwrap());
     }
 
     #[test]
@@ -322,47 +339,53 @@ mod tests {
             "OrgUnit/Dept*/Researcher//DBProject",
             "",
         );
-        assert!(!equivalent(&h, &i));
+        assert!(!equivalent(&h, &i, &Guard::unlimited()).unwrap());
     }
 
     #[test]
     fn containment_under_required_child() {
         // Every Book has a Publisher: Book* ≡_Σ Book*[/Publisher].
         let (plain, with_pub, ics, _) = setup("Book*", "Book*[/Publisher]", "Book -> Publisher");
-        assert!(contains_under(&plain, &with_pub, &ics));
-        assert!(contains_under(&with_pub, &plain, &ics));
-        assert!(equivalent_under(&plain, &with_pub, &ics));
+        assert!(contains_under(&plain, &with_pub, &ics, &Guard::unlimited()).unwrap());
+        assert!(contains_under(&with_pub, &plain, &ics, &Guard::unlimited()).unwrap());
+        assert!(equivalent_under(&plain, &with_pub, &ics, &Guard::unlimited()).unwrap());
         // Without the IC they are not equivalent.
-        assert!(!equivalent(&plain, &with_pub));
+        assert!(!equivalent(&plain, &with_pub, &Guard::unlimited()).unwrap());
     }
 
     #[test]
     fn containment_under_needs_the_right_edge_kind() {
         // Book ->> LastName does NOT imply a LastName *child*.
         let (plain, with_child, ics, _) = setup("Book*", "Book*/LastName", "Book ->> LastName");
-        assert!(!contains_under(&plain, &with_child, &ics));
+        assert!(!contains_under(&plain, &with_child, &ics, &Guard::unlimited()).unwrap());
         let (plain2, with_desc, ics2, _) = setup("Book*", "Book*//LastName", "Book ->> LastName");
-        assert!(contains_under(&plain2, &with_desc, &ics2));
+        assert!(contains_under(&plain2, &with_desc, &ics2, &Guard::unlimited()).unwrap());
     }
 
     #[test]
     fn guarantee_chains_compose() {
         // a -> u, u -> w: a* ≡_Σ a*/u/w even though the chain is two deep.
         let (plain, chain, ics, _) = setup("a*", "a*/u/w", "a -> u\nu -> w");
-        assert!(contains_under(&plain, &chain, &ics));
-        assert!(equivalent_under(&plain, &chain, &ics));
+        assert!(contains_under(&plain, &chain, &ics, &Guard::unlimited()).unwrap());
+        assert!(equivalent_under(&plain, &chain, &ics, &Guard::unlimited()).unwrap());
         // But a*/u/w/x is not guaranteed.
         let (plain2, deeper, ics2, _) = setup("a*", "a*/u/w/x", "a -> u\nu -> w");
-        assert!(!contains_under(&plain2, &deeper, &ics2));
+        assert!(!contains_under(&plain2, &deeper, &ics2, &Guard::unlimited()).unwrap());
     }
 
     #[test]
     fn cooccurrence_containment() {
         // PermEmp ~ Employee: Org*/PermEmp ⊆_Σ Org*/Employee.
         let (perm, emp, ics, _) = setup("Org*/PermEmp", "Org*/Employee", "PermEmp ~ Employee");
-        assert!(contains_under(&perm, &emp, &ics));
-        assert!(!contains_under(&emp, &perm, &ics), "co-occurrence is directed");
-        assert!(!contains(&perm, &emp), "not contained without the IC");
+        assert!(contains_under(&perm, &emp, &ics, &Guard::unlimited()).unwrap());
+        assert!(
+            !contains_under(&emp, &perm, &ics, &Guard::unlimited()).unwrap(),
+            "co-occurrence is directed"
+        );
+        assert!(
+            !contains(&perm, &emp, &Guard::unlimited()).unwrap(),
+            "not contained without the IC"
+        );
     }
 
     #[test]
@@ -373,8 +396,8 @@ mod tests {
             "Organization*/PermEmp//DBproject",
             "PermEmp ~ Employee\nDBproject ~ Project",
         );
-        assert!(equivalent_under(&f, &g, &ics));
-        assert!(!equivalent(&f, &g));
+        assert!(equivalent_under(&f, &g, &ics, &Guard::unlimited()).unwrap());
+        assert!(!equivalent(&f, &g, &Guard::unlimited()).unwrap());
     }
 
     #[test]
@@ -385,7 +408,7 @@ mod tests {
             "Articles[/Article//Paragraph]/Article*//Section//Paragraph",
             "Article -> Title",
         );
-        assert!(equivalent_under(&a, &b, &ics));
+        assert!(equivalent_under(&a, &b, &ics, &Guard::unlimited()).unwrap());
     }
 
     #[test]
@@ -397,8 +420,8 @@ mod tests {
             "Articles/Article*//Section",
             "Section ->> Paragraph",
         );
-        assert!(equivalent_under(&b, &e, &ics));
-        assert!(!equivalent(&b, &e));
+        assert!(equivalent_under(&b, &e, &ics, &Guard::unlimited()).unwrap());
+        assert!(!equivalent(&b, &e, &Guard::unlimited()).unwrap());
     }
 
     #[test]
@@ -407,12 +430,12 @@ mod tests {
         // descendant, not through Article*'s own type.
         let (small, big, ics, _) =
             setup("Article*//Section", "Article*[//Paragraph]//Section", "Section ->> Paragraph");
-        assert!(contains_under(&small, &big, &ics));
-        assert!(!contains(&small, &big));
+        assert!(contains_under(&small, &big, &ics, &Guard::unlimited()).unwrap());
+        assert!(!contains(&small, &big, &Guard::unlimited()).unwrap());
         // A c-edge cannot be anchored on a descendant.
         let (small2, big2, ics2, _) =
             setup("Article*//Section", "Article*[/Paragraph]//Section", "Section ->> Paragraph");
-        assert!(!contains_under(&small2, &big2, &ics2));
+        assert!(!contains_under(&small2, &big2, &ics2, &Guard::unlimited()).unwrap());
     }
 
     #[test]
@@ -420,14 +443,55 @@ mod tests {
         // Even though every a has a b child, the *marked* b must come from
         // the query: a* ⊄_Σ a/b*.
         let (plain, marked, ics, _) = setup("a*", "a/b*", "a -> b");
-        assert!(!contains_under(&plain, &marked, &ics));
+        assert!(!contains_under(&plain, &marked, &ics, &Guard::unlimited()).unwrap());
     }
 
     #[test]
     fn empty_constraint_set_reduces_to_plain_containment() {
         let (a, b, none, _) = setup("x*[/y][/y/z]", "x*/y/z", "");
-        assert_eq!(contains_under(&a, &b, &none), contains(&a, &b));
-        assert_eq!(contains_under(&b, &a, &none), contains(&b, &a));
+        assert_eq!(
+            contains_under(&a, &b, &none, &Guard::unlimited()).unwrap(),
+            contains(&a, &b, &Guard::unlimited()).unwrap()
+        );
+        assert_eq!(
+            contains_under(&b, &a, &none, &Guard::unlimited()).unwrap(),
+            contains(&b, &a, &Guard::unlimited()).unwrap()
+        );
+    }
+
+    #[test]
+    fn every_containment_entry_emits_one_event_per_direction() {
+        let _serial = crate::explain::RING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        tpq_obs::set_enabled(true);
+        let (plain, with_pub, ics, _) = setup("Book*", "Book*[/Publisher]", "Book -> Publisher");
+        let g = Guard::unlimited();
+        let trace = tpq_obs::fresh_trace_id();
+        {
+            let _scope = tpq_obs::trace_scope(trace);
+            assert!(!contains(&plain, &with_pub, &g).unwrap());
+            assert!(contains_under(&plain, &with_pub, &ics, &g).unwrap());
+            assert!(equivalent(&plain, &plain, &g).unwrap());
+            assert!(equivalent_under(&plain, &with_pub, &ics, &g).unwrap());
+        }
+        let seen: Vec<(&str, u64, u64, u64)> = tpq_obs::drain_events()
+            .iter()
+            .filter(|e| e.trace == trace && e.name == "containment.check")
+            .map(|e| {
+                let field = |k| e.u64_field(k).unwrap();
+                (e.str_field("kind").unwrap(), field("q1_nodes"), field("q2_nodes"), field("holds"))
+            })
+            .collect();
+        assert_eq!(
+            seen,
+            [
+                ("plain", 1, 2, 0),
+                ("under", 1, 2, 1),
+                ("plain", 1, 1, 1),
+                ("plain", 1, 1, 1),
+                ("under", 1, 2, 1),
+                ("under", 2, 1, 1),
+            ]
+        );
     }
 
     #[test]
@@ -436,6 +500,6 @@ mod tests {
         // descendant who (by ~) is a Person. Org*//Dept ⊆ Org*//Dept[//Person].
         let (lhs, rhs, ics, _) =
             setup("Org*//Dept", "Org*//Dept//Person", "Dept ->> Manager\nManager ~ Person");
-        assert!(contains_under(&lhs, &rhs, &ics));
+        assert!(contains_under(&lhs, &rhs, &ics, &Guard::unlimited()).unwrap());
     }
 }

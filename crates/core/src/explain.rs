@@ -106,6 +106,10 @@ pub struct Explanation {
     pub events: Vec<tpq_obs::Event>,
 }
 
+/// Held by whoever drains the process-global event ring in this crate, so
+/// two drains never take each other's events.
+pub(crate) static RING_LOCK: Mutex<()> = Mutex::new(());
+
 /// Minimize `q` under `ics` (closed internally) and explain every
 /// deletion. See the module docs for semantics and concurrency notes. A
 /// tripped guard returns [`Err`] with the input untouched (the run works
@@ -116,10 +120,7 @@ pub fn explain(
     strategy: Strategy,
     guard: &Guard,
 ) -> Result<Explanation> {
-    // The event ring is process-global: serialize explains so two runs
-    // never interleave their decision events.
-    static EXPLAIN_LOCK: Mutex<()> = Mutex::new(());
-    let _serial = EXPLAIN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _serial = RING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     tpq_obs::set_enabled(true);
     let closed = ics.closure();
     let trace = tpq_obs::fresh_trace_id();

@@ -724,7 +724,7 @@ mod tests {
         let q = p("Dept*[//DBProject]//Manager//DBProject", &mut tys);
         let m = cim(&q);
         assert_eq!(m.size(), 3);
-        assert!(equivalent(&q, &m));
+        assert!(equivalent(&q, &m, &Guard::unlimited()).unwrap());
         let expected = p("Dept*//Manager//DBProject", &mut tys);
         assert!(isomorphic(&m, &expected));
     }
@@ -736,7 +736,7 @@ mod tests {
         let m = cim(&q);
         let expected = p("OrgUnit*/Dept/Researcher//DBProject", &mut tys);
         assert!(isomorphic(&m, &expected), "Figure 2(h) minimizes to 2(i)");
-        assert!(equivalent(&q, &m));
+        assert!(equivalent(&q, &m, &Guard::unlimited()).unwrap());
     }
 
     #[test]
@@ -746,7 +746,7 @@ mod tests {
         let m = cim(&b);
         let c = p("Articles/Article*//Section//Paragraph", &mut tys);
         assert!(isomorphic(&m, &c), "Figure 2(b) minimizes to 2(c)");
-        assert!(equivalent(&b, &m));
+        assert!(equivalent(&b, &m, &Guard::unlimited()).unwrap());
     }
 
     #[test]
@@ -767,7 +767,7 @@ mod tests {
         // The unmarked b folds onto b*; the marked one stays.
         assert_eq!(m.size(), 2);
         assert!(m.node(m.output()).output);
-        assert!(equivalent(&q, &m));
+        assert!(equivalent(&q, &m, &Guard::unlimited()).unwrap());
     }
 
     #[test]
@@ -803,7 +803,7 @@ mod tests {
         let default = cim(&q);
         assert!(isomorphic(&forward, &backward), "Theorem 4.1 uniqueness");
         assert!(isomorphic(&forward, &default));
-        assert!(equivalent(&q, &forward));
+        assert!(equivalent(&q, &forward, &Guard::unlimited()).unwrap());
     }
 
     #[test]
@@ -856,8 +856,8 @@ mod tests {
         let m = acim(&q, &ics);
         let expected = parse_pattern("Book*[/Title][/Author]", &mut tys).unwrap();
         assert!(isomorphic(&m, &expected));
-        assert!(equivalent_under(&q, &m, &ics));
-        assert!(!equivalent(&q, &m), "not equivalent without the IC");
+        assert!(equivalent_under(&q, &m, &ics, &Guard::unlimited()).unwrap());
+        assert!(!equivalent(&q, &m, &Guard::unlimited()).unwrap(), "not equivalent without the IC");
     }
 
     #[test]
@@ -880,7 +880,7 @@ mod tests {
         let m = acim(&q, &ics);
         let e = parse_pattern("Articles/Article*//Section", &mut tys).unwrap();
         assert!(isomorphic(&m, &e), "got {} nodes", m.size());
-        assert!(equivalent_under(&q, &m, &ics));
+        assert!(equivalent_under(&q, &m, &ics, &Guard::unlimited()).unwrap());
     }
 
     #[test]
@@ -907,7 +907,7 @@ mod tests {
         let m = acim(&q, &ics);
         let e = parse_pattern("Articles/Article*//Section", &mut tys).unwrap();
         assert!(isomorphic(&m, &e));
-        assert!(equivalent_under(&q, &m, &ics));
+        assert!(equivalent_under(&q, &m, &ics, &Guard::unlimited()).unwrap());
     }
 
     #[test]
@@ -919,7 +919,7 @@ mod tests {
         let m = acim(&q, &ics);
         let g = parse_pattern("Organization*/PermEmp//DBproject", &mut tys).unwrap();
         assert!(isomorphic(&m, &g), "Figure 2(f) minimizes to 2(g), got {} nodes", m.size());
-        assert!(equivalent_under(&q, &m, &ics));
+        assert!(equivalent_under(&q, &m, &ics, &Guard::unlimited()).unwrap());
     }
 
     #[test]
@@ -954,7 +954,7 @@ mod tests {
         assert_eq!(m.size(), 2);
         let child = m.node(m.root()).children[0];
         assert_eq!(m.node(child).edge, EdgeKind::Child);
-        assert!(equivalent_under(&q, &m, &ics));
+        assert!(equivalent_under(&q, &m, &ics, &Guard::unlimited()).unwrap());
     }
 
     #[test]
@@ -963,7 +963,7 @@ mod tests {
         let (q, ics, _) = setup("a*[/b]/u/w", "a -> u\nu -> w");
         let m = acim(&q, &ics);
         assert_eq!(m.size(), 2, "only a*[/b] remains, got {}", m.size());
-        assert!(equivalent_under(&q, &m, &ics));
+        assert!(equivalent_under(&q, &m, &ics, &Guard::unlimited()).unwrap());
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //!
 //! * [`contains()`](fn@contains) / [`equivalent()`](fn@equivalent) — containment and equivalence of tree
 //!   patterns via containment mappings (Section 4);
+//!   [`has_homomorphism()`](fn@has_homomorphism) is the mapping test itself;
 //! * [`cim()`](fn@cim) — **C**onstraint-**I**ndependent **M**inimization: the unique
 //!   minimal equivalent query in the absence of integrity constraints
 //!   (Theorem 4.1), computed by a maximal elimination ordering on the
@@ -26,6 +27,11 @@
 //!   [`minimize_closed_guarded()`](fn@minimize_closed_guarded) is the one
 //!   entry point behind every strategy, taking a closed constraint set and
 //!   a [`Guard`](tpq_base::Guard).
+//!
+//! Each decision procedure has one entry point, which takes a
+//! [`Guard`](tpq_base::Guard) (`Guard::unlimited()` for no limit) and
+//! returns a `Result`. The paper-named one-shots (`minimize`,
+//! `minimize_with`, `cim`, `acim`, `cdm`) are the only infallible wrappers.
 //!
 //! # Example
 //!
@@ -77,14 +83,11 @@ pub use batch::{
 };
 pub use cdm::{cdm, cdm_in_place_guarded};
 pub use chase::{augment_guarded, chase};
-pub use containment::{
-    contains, contains_guarded, contains_under, contains_under_guarded, equivalent,
-    equivalent_guarded, equivalent_under, equivalent_under_guarded,
-};
+pub use containment::{contains, contains_under, equivalent, equivalent_under};
 pub use explain::{explain, ChaseFact, Deletion, Explanation, Reason};
 pub use incremental::{acim, cim, CimEngine};
 pub use local::locally_redundant_leaves;
-pub use mapping::{has_homomorphism, has_homomorphism_guarded, has_homomorphism_naive};
+pub use mapping::{has_homomorphism, has_homomorphism_naive};
 pub use pipeline::{
     is_minimal, minimize, minimize_closed_guarded, minimize_with, MinimizeOutcome, Strategy,
 };

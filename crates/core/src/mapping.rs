@@ -196,55 +196,83 @@ pub(crate) fn prune_node(
     changed
 }
 
-/// Does a containment mapping `from → to` exist?
-pub fn has_homomorphism(from: &TreePattern, to: &TreePattern) -> bool {
-    has_homomorphism_guarded(from, to, &Guard::unlimited()).expect("unlimited guard cannot trip")
-}
-
-/// [`has_homomorphism`] under a [`Guard`]: the candidate-table build
-/// spends one step per candidate considered.
-pub fn has_homomorphism_guarded(
-    from: &TreePattern,
-    to: &TreePattern,
-    guard: &Guard,
-) -> Result<bool> {
+/// Does a containment mapping `from → to` exist? The candidate-table
+/// build spends one guard step per candidate considered.
+pub fn has_homomorphism(from: &TreePattern, to: &TreePattern, guard: &Guard) -> Result<bool> {
     let to_index = PatIndex::build(to);
     let cand = pruned_candidates(from, to, &to_index, None, guard)?;
     Ok(!cand[from.root().index()].is_empty())
 }
 
-/// Find a containment mapping `from → to`, if any, as a node map.
+/// Rule 2 for one edge: may a child of `v ↦ u`, reached by `edge`, map
+/// onto `u2` (a c-child of `u`, or a proper descendant for a d-child)?
+fn edge_preserved(
+    edge: EdgeKind,
+    to: &TreePattern,
+    to_index: &PatIndex,
+    u: NodeId,
+    u2: NodeId,
+) -> bool {
+    match edge {
+        EdgeKind::Child => to.node(u2).edge == EdgeKind::Child && to.node(u2).parent == Some(u),
+        EdgeKind::Descendant => to_index.is_proper_ancestor(u, u2),
+    }
+}
+
+/// Find a containment mapping `from → to`, if any, as a node map. The
+/// candidate-table build spends guard steps as in [`has_homomorphism`].
 ///
 /// Extraction is greedy top-down over the pruned candidates, which is
 /// complete because candidates are exact (see module docs).
 pub fn find_homomorphism(
     from: &TreePattern,
     to: &TreePattern,
-) -> Option<FxHashMap<NodeId, NodeId>> {
+    guard: &Guard,
+) -> Result<Option<FxHashMap<NodeId, NodeId>>> {
     let to_index = PatIndex::build(to);
-    let cand = pruned_candidates(from, to, &to_index, None, &Guard::unlimited())
-        .expect("unlimited guard cannot trip");
-    let root_img = *cand[from.root().index()].first()?;
+    let cand = pruned_candidates(from, to, &to_index, None, guard)?;
+    let Some(&root_img) = cand[from.root().index()].first() else { return Ok(None) };
     let mut map = FxHashMap::default();
     map.insert(from.root(), root_img);
     let mut stack = vec![from.root()];
     while let Some(v) = stack.pop() {
         let u = map[&v];
         for w in original_children(from, v) {
-            let u2 = match from.node(w).edge {
-                EdgeKind::Child => cand[w.index()].iter().copied().find(|&u2| {
-                    to.node(u2).edge == EdgeKind::Child && to.node(u2).parent == Some(u)
-                }),
-                EdgeKind::Descendant => {
-                    cand[w.index()].iter().copied().find(|&u2| to_index.is_proper_ancestor(u, u2))
-                }
-            }
-            .expect("pruned candidate sets are exact");
+            let edge = from.node(w).edge;
+            let mut images = cand[w.index()].iter().copied();
+            let u2 = images.find(|&u2| edge_preserved(edge, to, &to_index, u, u2));
+            let u2 = u2.expect("pruned candidate sets are exact");
             map.insert(w, u2);
             stack.push(w);
         }
     }
-    Some(map)
+    Ok(Some(map))
+}
+
+/// Verify that `map` really is a containment mapping `from → to`.
+/// Used by tests to check witnesses produced by [`find_homomorphism`].
+pub fn is_valid_homomorphism(
+    from: &TreePattern,
+    to: &TreePattern,
+    map: &FxHashMap<NodeId, NodeId>,
+) -> bool {
+    let to_index = PatIndex::build(to);
+    for v in from.alive_ids() {
+        if from.node(v).temporary {
+            continue;
+        }
+        let Some(&u) = map.get(&v) else { return false };
+        if !to.is_alive(u) || !node_compatible(from, v, to, u) {
+            return false;
+        }
+        if let Some(p) = from.node(v).parent {
+            let Some(&pu) = map.get(&p) else { return false };
+            if !edge_preserved(from.node(v).edge, to, &to_index, pu, u) {
+                return false;
+            }
+        }
+    }
+    true
 }
 
 /// Exponential backtracking reference implementation of
@@ -274,16 +302,8 @@ fn backtrack(
         if !node_compatible(from, v, to, u) {
             continue;
         }
-        if let Some(pu) = parent_img {
-            let ok = match from.node(v).edge {
-                EdgeKind::Child => {
-                    to.node(u).edge == EdgeKind::Child && to.node(u).parent == Some(pu)
-                }
-                EdgeKind::Descendant => to_index.is_proper_ancestor(pu, u),
-            };
-            if !ok {
-                continue;
-            }
+        if parent_img.is_some_and(|pu| !edge_preserved(from.node(v).edge, to, to_index, pu, u)) {
+            continue;
         }
         assignment.insert(v, u);
         if backtrack(from, to, to_index, order, i + 1, assignment) {
@@ -292,38 +312,6 @@ fn backtrack(
         assignment.remove(&v);
     }
     false
-}
-
-/// Verify that `map` really is a containment mapping `from → to`.
-/// Used by tests to check witnesses produced by [`find_homomorphism`].
-pub fn is_valid_homomorphism(
-    from: &TreePattern,
-    to: &TreePattern,
-    map: &FxHashMap<NodeId, NodeId>,
-) -> bool {
-    let to_index = PatIndex::build(to);
-    for v in from.alive_ids() {
-        if from.node(v).temporary {
-            continue;
-        }
-        let Some(&u) = map.get(&v) else { return false };
-        if !to.is_alive(u) || !node_compatible(from, v, to, u) {
-            return false;
-        }
-        if let Some(p) = from.node(v).parent {
-            let Some(&pu) = map.get(&p) else { return false };
-            let ok = match from.node(v).edge {
-                EdgeKind::Child => {
-                    to.node(u).edge == EdgeKind::Child && to.node(u).parent == Some(pu)
-                }
-                EdgeKind::Descendant => to_index.is_proper_ancestor(pu, u),
-            };
-            if !ok {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -341,7 +329,7 @@ mod tests {
         let mut tys = TypeInterner::new();
         for s in ["a", "a/b//c", "a*[/b][/b/c]//d"] {
             let q = p(s, &mut tys);
-            assert!(has_homomorphism(&q, &q), "{s}");
+            assert!(has_homomorphism(&q, &q, &Guard::unlimited()).unwrap(), "{s}");
             assert!(has_homomorphism_naive(&q, &q), "{s}");
         }
     }
@@ -352,11 +340,11 @@ mod tests {
         // from: a//c ; to: a/b/c — the d-edge maps across the chain.
         let from = p("a//c", &mut tys);
         let to = p("a/b/c", &mut tys);
-        assert!(has_homomorphism(&from, &to));
+        assert!(has_homomorphism(&from, &to, &Guard::unlimited()).unwrap());
         assert!(has_homomorphism_naive(&from, &to));
         // But a c-edge cannot stretch.
         let from_c = p("a/c", &mut tys);
-        assert!(!has_homomorphism(&from_c, &to));
+        assert!(!has_homomorphism(&from_c, &to, &Guard::unlimited()).unwrap());
         assert!(!has_homomorphism_naive(&from_c, &to));
     }
 
@@ -366,7 +354,7 @@ mod tests {
         // a//a cannot map into a single a node.
         let from = p("a//a", &mut tys);
         let to = p("a", &mut tys);
-        assert!(!has_homomorphism(&from, &to));
+        assert!(!has_homomorphism(&from, &to, &Guard::unlimited()).unwrap());
         assert!(!has_homomorphism_naive(&from, &to));
     }
 
@@ -375,10 +363,10 @@ mod tests {
         let mut tys = TypeInterner::new();
         let from = p("a/b*", &mut tys);
         let to = p("a*[/b]", &mut tys);
-        assert!(!has_homomorphism(&from, &to));
+        assert!(!has_homomorphism(&from, &to, &Guard::unlimited()).unwrap());
         assert!(!has_homomorphism_naive(&from, &to));
         let to2 = p("a/b*", &mut tys);
-        assert!(has_homomorphism(&from, &to2));
+        assert!(has_homomorphism(&from, &to2, &Guard::unlimited()).unwrap());
     }
 
     #[test]
@@ -387,7 +375,7 @@ mod tests {
         // Two b-branches of `from` can share the single b of `to`.
         let from = p("a*[/b]/b", &mut tys);
         let to = p("a*/b", &mut tys);
-        assert!(has_homomorphism(&from, &to));
+        assert!(has_homomorphism(&from, &to, &Guard::unlimited()).unwrap());
         assert!(has_homomorphism_naive(&from, &to));
     }
 
@@ -397,8 +385,8 @@ mod tests {
         let h = p("OrgUnit*[/Dept/Researcher//DBProject]//Dept//DBProject", &mut tys);
         let i = p("OrgUnit*/Dept/Researcher//DBProject", &mut tys);
         // Fig 2(h) ⊇ Fig 2(i) and vice versa: hom in both directions.
-        assert!(has_homomorphism(&h, &i));
-        assert!(has_homomorphism(&i, &h));
+        assert!(has_homomorphism(&h, &i, &Guard::unlimited()).unwrap());
+        assert!(has_homomorphism(&i, &h, &Guard::unlimited()).unwrap());
     }
 
     #[test]
@@ -409,10 +397,10 @@ mod tests {
         let emp = tys.lookup("Employee").unwrap();
         let perm_node = to.node(to.root()).children[0];
         to.node_mut(perm_node).types.insert(emp);
-        assert!(has_homomorphism(&from, &to));
+        assert!(has_homomorphism(&from, &to, &Guard::unlimited()).unwrap());
         assert!(has_homomorphism_naive(&from, &to));
         // And not the other way around: PermEmp is not among Employee's types.
-        assert!(!has_homomorphism(&to, &from));
+        assert!(!has_homomorphism(&to, &from, &Guard::unlimited()).unwrap());
     }
 
     #[test]
@@ -420,9 +408,9 @@ mod tests {
         let mut tys = TypeInterner::new();
         let from = p("a*[/b]//c", &mut tys);
         let to = p("a*[/b][/x//c]", &mut tys);
-        let map = find_homomorphism(&from, &to).expect("hom exists");
+        let map = find_homomorphism(&from, &to, &Guard::unlimited()).unwrap().expect("hom exists");
         assert!(is_valid_homomorphism(&from, &to, &map));
-        assert!(find_homomorphism(&to, &from).is_none());
+        assert!(find_homomorphism(&to, &from, &Guard::unlimited()).unwrap().is_none());
     }
 
     #[test]
@@ -440,7 +428,11 @@ mod tests {
         for (f, t, want) in cases {
             let from = p(f, &mut tys);
             let to = p(t, &mut tys);
-            assert_eq!(has_homomorphism(&from, &to), want, "{f} -> {t}");
+            assert_eq!(
+                has_homomorphism(&from, &to, &Guard::unlimited()).unwrap(),
+                want,
+                "{f} -> {t}"
+            );
             assert_eq!(has_homomorphism_naive(&from, &to), want, "naive {f} -> {t}");
         }
     }

@@ -206,7 +206,7 @@ mod tests {
                 combined.pattern.size(),
                 direct.pattern.size()
             );
-            assert!(equivalent_under(&q, &combined.pattern, &ics));
+            assert!(equivalent_under(&q, &combined.pattern, &ics, &Guard::unlimited()).unwrap());
         }
     }
 
@@ -220,7 +220,7 @@ mod tests {
         let global = minimize_with(&q, &ics, Strategy::AcimOnly).pattern;
         assert!(global.size() <= local.size());
         assert!(local.size() <= q.size());
-        assert!(equivalent_under(&q, &local, &ics));
+        assert!(equivalent_under(&q, &local, &ics, &Guard::unlimited()).unwrap());
     }
 
     #[test]
@@ -264,7 +264,7 @@ mod tests {
             let q = parse_pattern(src, &mut tys).unwrap();
             let m = closed_run(&q, &closed, Strategy::default());
             assert_eq!(m.size(), want, "{src}");
-            assert!(equivalent_under(&q, &m, &closed), "{src}");
+            assert!(equivalent_under(&q, &m, &closed, &Guard::unlimited()).unwrap(), "{src}");
         }
     }
 

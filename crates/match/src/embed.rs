@@ -142,17 +142,26 @@ pub struct Matcher<'a> {
 }
 
 impl<'a> Matcher<'a> {
-    /// Build candidate and feasibility tables for `pattern` on `doc`.
-    pub fn new(pattern: &'a TreePattern, doc: &'a Document) -> Self {
-        Self::new_guarded(pattern, doc, &Guard::unlimited())
-            .expect("unlimited guard cannot trip and no failpoint is armed")
-    }
-
-    /// [`Matcher::new`] under a [`Guard`]: the bottom-up candidate pass
-    /// spends one step per candidate examined and the top-down pass one
-    /// per feasibility probe, so a deadline or budget trips mid-build on
-    /// large documents. Passes the `match.build` failpoint once on entry.
-    pub fn new_guarded(pattern: &'a TreePattern, doc: &'a Document, guard: &Guard) -> Result<Self> {
+    /// Build candidate and feasibility tables for `pattern` on `doc`. The
+    /// bottom-up candidate pass spends one guard step per candidate
+    /// examined and the top-down pass one per feasibility probe, so a
+    /// deadline or budget trips mid-build on large documents. Passes the
+    /// `match.build` failpoint once on entry.
+    ///
+    /// ```
+    /// use tpq_base::{Guard, TypeInterner};
+    /// use tpq_data::parse_xml;
+    /// use tpq_match::Matcher;
+    /// use tpq_pattern::parse_pattern;
+    ///
+    /// let mut tys = TypeInterner::new();
+    /// let q = parse_pattern("a*//b", &mut tys).unwrap();
+    /// let doc = parse_xml("<a><b/><c><b/></c></a>", &mut tys).unwrap();
+    /// let m = Matcher::new(&q, &doc, &Guard::unlimited()).unwrap();
+    /// assert_eq!(m.answers().len(), 1);
+    /// assert_eq!(m.count_embeddings(), 2);
+    /// ```
+    pub fn new(pattern: &'a TreePattern, doc: &'a Document, guard: &Guard) -> Result<Self> {
         failpoint::hit("match.build")?;
         let _span = tpq_obs::span!("match.build");
         let index = {
@@ -365,15 +374,12 @@ impl<'a> Matcher<'a> {
     }
 }
 
-/// One-shot: does `pattern` match anywhere in `doc`?
-pub fn matches_anywhere(pattern: &TreePattern, doc: &Document) -> bool {
-    Matcher::new(pattern, doc).matches()
-}
-
 /// One-shot: the answer set of `pattern` on `doc` (unsorted, duplicate
 /// free).
 pub fn answer_set(pattern: &TreePattern, doc: &Document) -> Vec<DataNodeId> {
-    Matcher::new(pattern, doc).answers()
+    Matcher::new(pattern, doc, &Guard::unlimited())
+        .expect("unlimited guard cannot trip and no failpoint is armed")
+        .answers()
 }
 
 /// Answer sets per tree of a forest, as `(tree_index, node)` pairs.
@@ -387,11 +393,6 @@ pub fn answer_set_forest(
         .enumerate()
         .flat_map(|(i, doc)| answer_set(pattern, doc).into_iter().map(move |n| (i, n)))
         .collect()
-}
-
-/// One-shot: number of embeddings of `pattern` into `doc`.
-pub fn count_embeddings(pattern: &TreePattern, doc: &Document) -> u64 {
-    Matcher::new(pattern, doc).count_embeddings()
 }
 
 #[cfg(test)]
@@ -408,19 +409,23 @@ mod tests {
         (p, d, tys)
     }
 
+    fn build<'a>(p: &'a TreePattern, d: &'a Document) -> Matcher<'a> {
+        Matcher::new(p, d, &Guard::unlimited()).unwrap()
+    }
+
     #[test]
     fn single_node_pattern_matches_every_node_of_type() {
         let (p, d, _) = setup("b*", "<a><b/><c><b/></c></a>");
         let mut answers = answer_set(&p, &d);
         answers.sort_unstable();
         assert_eq!(answers.len(), 2);
-        assert!(matches_anywhere(&p, &d));
+        assert!(build(&p, &d).matches());
     }
 
     #[test]
     fn c_edge_requires_direct_child() {
         let (p, d, _) = setup("a/b*", "<a><x><b/></x></a>");
-        assert!(!matches_anywhere(&p, &d));
+        assert!(!build(&p, &d).matches());
         let (p2, d2, _) = setup("a//b*", "<a><x><b/></x></a>");
         assert_eq!(answer_set(&p2, &d2).len(), 1);
     }
@@ -456,7 +461,7 @@ mod tests {
         let emp_node = p.node(p.root()).children[0];
         p.node_mut(emp_node).types.insert(person);
         let d = parse_xml(r#"<Org><Employee/><Employee also="Person"/></Org>"#, &mut tys).unwrap();
-        let m = Matcher::new(&p, &d);
+        let m = build(&p, &d);
         assert_eq!(m.candidates(emp_node).len(), 1, "only the multi-typed node");
         assert!(m.matches());
     }
@@ -466,9 +471,9 @@ mod tests {
         // a with two b-children: pattern a*[//b][//b] has 2×2 embeddings
         // per a... both b branches range independently.
         let (p, d, _) = setup("a*[//b][//b]", "<a><b/><b/></a>");
-        assert_eq!(count_embeddings(&p, &d), 4);
+        assert_eq!(build(&p, &d).count_embeddings(), 4);
         let (p2, d2, _) = setup("a*//b", "<a><b/><b/></a>");
-        assert_eq!(count_embeddings(&p2, &d2), 2);
+        assert_eq!(build(&p2, &d2).count_embeddings(), 2);
     }
 
     #[test]
@@ -478,13 +483,13 @@ mod tests {
         // pairs would take exponential time here.
         let xml = format!("{}{}", "<a>".repeat(150), "</a>".repeat(150));
         let (p4, d, mut tys) = setup("a*//a//a//a", &xml);
-        assert_eq!(count_embeddings(&p4, &d), 20_260_275);
+        assert_eq!(build(&p4, &d).count_embeddings(), 20_260_275);
         let p6 = parse_pattern("a*//a//a//a//a//a", &mut tys).unwrap();
-        assert_eq!(count_embeddings(&p6, &d), 14_297_000_725);
+        assert_eq!(build(&p6, &d).count_embeddings(), 14_297_000_725);
         let c2 = parse_pattern("a*/a//a", &mut tys).unwrap();
         // A c-edge pins the second node: 149 parent/child pairs, each with
         // every deeper node below.
-        assert_eq!(count_embeddings(&c2, &d), (0..149u64).map(|i| 148 - i).sum::<u64>());
+        assert_eq!(build(&c2, &d).count_embeddings(), (0..149u64).map(|i| 148 - i).sum::<u64>());
     }
 
     #[test]
@@ -493,13 +498,13 @@ mod tests {
         let xml = format!("<a>{}</a>", "<b/>".repeat(40));
         let q = format!("a*{}", "[//b]".repeat(13));
         let (p, d, _) = setup(&q, &xml);
-        assert_eq!(count_embeddings(&p, &d), u64::MAX);
+        assert_eq!(build(&p, &d).count_embeddings(), u64::MAX);
     }
 
     #[test]
     fn descendant_is_proper_on_data_too() {
         let (p, d, _) = setup("a//a*", "<a/>");
-        assert!(!matches_anywhere(&p, &d));
+        assert!(!build(&p, &d).matches());
         let (p2, d2, _) = setup("a//a*", "<a><a/></a>");
         assert_eq!(answer_set(&p2, &d2).len(), 1);
     }
@@ -513,9 +518,9 @@ mod tests {
     #[test]
     fn no_match_empty_answers() {
         let (p, d, _) = setup("z*", "<a><b/></a>");
-        assert!(!matches_anywhere(&p, &d));
+        assert!(!build(&p, &d).matches());
         assert!(answer_set(&p, &d).is_empty());
-        assert_eq!(count_embeddings(&p, &d), 0);
+        assert_eq!(build(&p, &d).count_embeddings(), 0);
     }
 
     #[test]
@@ -534,7 +539,7 @@ mod tests {
     #[test]
     fn embeddings_enumeration_matches_counts() {
         let (p, d, _) = setup("a*[//b][//b]", "<a><b/><b/><b/></a>");
-        let m = Matcher::new(&p, &d);
+        let m = build(&p, &d);
         assert_eq!(m.count_embeddings(), 9);
         let all = m.embeddings(usize::MAX);
         assert_eq!(all.len(), 9);
@@ -576,10 +581,10 @@ mod tests {
         });
         for q in ["t0*[//t1]//t2", "t1*[/t2][/t3]", "t0*//t0"] {
             let p = parse_pattern(q, &mut tys).unwrap();
-            let m = Matcher::new(&p, &doc);
+            let m = build(&p, &doc);
             assert_eq!(
                 m.embeddings(usize::MAX).len() as u64,
-                crate::naive::count_embeddings_naive(&p, &doc),
+                crate::naive::count_embeddings_naive(&p, &doc, &Guard::unlimited()).unwrap(),
                 "{q}"
             );
         }

@@ -21,6 +21,13 @@
 //! * [`naive`] — exponential backtracking enumeration of embeddings, used
 //!   to cross-validate the other evaluators in tests.
 //!
+//! Each evaluator has one guarded entry point that returns a `Result`
+//! (`Guard::unlimited()` for no limit): [`Matcher::new`],
+//! [`answer_set_twig_indexed`], [`answer_set_naive`] and
+//! [`count_embeddings_naive`]. [`answer_set`] and [`answer_set_twig`] are
+//! infallible conveniences over the first two; they panic only if the
+//! `match.build` failpoint is armed.
+//!
 //! Matching cost grows with pattern size — which is the whole motivation
 //! for minimization; the ablation benches quantify it.
 
@@ -30,12 +37,9 @@ pub mod embed;
 pub mod naive;
 pub mod twig;
 
-pub use embed::{answer_set, answer_set_forest, count_embeddings, matches_anywhere, Matcher};
-pub use naive::{
-    answer_set_naive, answer_set_naive_guarded, count_embeddings_naive,
-    count_embeddings_naive_guarded,
-};
-pub use twig::{answer_set_twig, answer_set_twig_guarded, answer_set_twig_indexed};
+pub use embed::{answer_set, answer_set_forest, Matcher};
+pub use naive::{answer_set_naive, count_embeddings_naive};
+pub use twig::{answer_set_twig, answer_set_twig_indexed};
 
 /// Do two patterns produce the same answer set on `doc`? (Empirical
 /// equivalence on one database; used by property tests against the

@@ -10,16 +10,25 @@ use tpq_data::{DataNodeId, DocIndex, Document};
 use tpq_pattern::{EdgeKind, NodeId, TreePattern};
 
 /// The answer set of `pattern` on `doc`, by exhaustive enumeration.
-pub fn answer_set_naive(pattern: &TreePattern, doc: &Document) -> Vec<DataNodeId> {
-    answer_set_naive_guarded(pattern, doc, &Guard::unlimited())
-        .expect("unlimited guard cannot trip")
-}
-
-/// [`answer_set_naive`] under a [`Guard`]. The backtracker is exponential
-/// in the worst case, so this is the variant to use anywhere the input is
-/// not trusted to be tiny: one step is spent per (pattern node, data
-/// node) binding attempt.
-pub fn answer_set_naive_guarded(
+///
+/// The backtracker is exponential in the worst case, so pass a bounded
+/// guard anywhere the input is not trusted to be tiny: one step is spent
+/// per (pattern node, data node) binding attempt.
+///
+/// ```
+/// use tpq_base::{Guard, TypeInterner};
+/// use tpq_data::parse_xml;
+/// use tpq_match::answer_set_naive;
+/// use tpq_pattern::parse_pattern;
+///
+/// let mut tys = TypeInterner::new();
+/// let q = parse_pattern("a*/b", &mut tys).unwrap();
+/// let doc = parse_xml("<r><a><b/></a><a/></r>", &mut tys).unwrap();
+/// assert_eq!(answer_set_naive(&q, &doc, &Guard::unlimited()).unwrap().len(), 1);
+/// // A budget bounds the enumeration.
+/// assert!(answer_set_naive(&q, &doc, &Guard::with_budget(2)).is_err());
+/// ```
+pub fn answer_set_naive(
     pattern: &TreePattern,
     doc: &Document,
     guard: &Guard,
@@ -38,19 +47,8 @@ pub fn answer_set_naive_guarded(
 }
 
 /// The number of embeddings of `pattern` into `doc`, by exhaustive
-/// enumeration.
-pub fn count_embeddings_naive(pattern: &TreePattern, doc: &Document) -> u64 {
-    count_embeddings_naive_guarded(pattern, doc, &Guard::unlimited())
-        .expect("unlimited guard cannot trip")
-}
-
-/// [`count_embeddings_naive`] under a [`Guard`] (see
-/// [`answer_set_naive_guarded`] for the spend model).
-pub fn count_embeddings_naive_guarded(
-    pattern: &TreePattern,
-    doc: &Document,
-    guard: &Guard,
-) -> Result<u64> {
+/// enumeration (see [`answer_set_naive`] for the spend model).
+pub fn count_embeddings_naive(pattern: &TreePattern, doc: &Document, guard: &Guard) -> Result<u64> {
     let mut count = 0u64;
     enumerate(pattern, doc, guard, &mut |_| count += 1)?;
     Ok(count)
@@ -123,7 +121,7 @@ fn enumerate<F: FnMut(&[Option<DataNodeId>])>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::embed::{answer_set, count_embeddings};
+    use crate::embed::{answer_set, Matcher};
     use tpq_base::TypeInterner;
     use tpq_data::{generate_document, parse_xml, DocumentSpec};
     use tpq_pattern::parse_pattern;
@@ -139,8 +137,10 @@ mod tests {
             let p = parse_pattern(q, &mut tys).unwrap();
             let mut fast = answer_set(&p, &doc);
             fast.sort_unstable();
-            assert_eq!(fast, answer_set_naive(&p, &doc), "{q} answers");
-            assert_eq!(count_embeddings(&p, &doc), count_embeddings_naive(&p, &doc), "{q} counts");
+            let g = Guard::unlimited();
+            assert_eq!(fast, answer_set_naive(&p, &doc, &g).unwrap(), "{q} answers");
+            let count = Matcher::new(&p, &doc, &g).unwrap().count_embeddings();
+            assert_eq!(count, count_embeddings_naive(&p, &doc, &g).unwrap(), "{q} counts");
         }
     }
 
@@ -162,7 +162,11 @@ mod tests {
                 let p = parse_pattern(q, &mut tys).unwrap();
                 let mut fast = answer_set(&p, &doc);
                 fast.sort_unstable();
-                assert_eq!(fast, answer_set_naive(&p, &doc), "seed {seed} {q}");
+                assert_eq!(
+                    fast,
+                    answer_set_naive(&p, &doc, &Guard::unlimited()).unwrap(),
+                    "seed {seed} {q}"
+                );
             }
         }
     }

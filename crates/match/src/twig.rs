@@ -46,37 +46,28 @@ use tpq_pattern::{condition, EdgeKind, NodeId, TreePattern};
 /// Pre-order sorted and duplicate-free, byte-identical to
 /// [`crate::answer_set`].
 pub fn answer_set_twig(pattern: &TreePattern, doc: &Document) -> Vec<DataNodeId> {
-    answer_set_twig_guarded(pattern, doc, &Guard::unlimited())
-        .expect("unlimited guard cannot trip and no failpoint is armed")
-}
-
-/// [`answer_set_twig`] under a [`Guard`]: one step is spent per stream
-/// element examined for each pattern node the stream feeds, per accepted
-/// (pattern node, element) pair, and per satisfied-bit propagation, so
-/// budgets and deadlines trip mid-sweep on large documents. Passes the
-/// `match.build` failpoint once on entry.
-pub fn answer_set_twig_guarded(
-    pattern: &TreePattern,
-    doc: &Document,
-    guard: &Guard,
-) -> Result<Vec<DataNodeId>> {
-    failpoint::hit("match.build")?;
     let index = {
         let _s = tpq_obs::span!("twig.index");
         DocIndex::build(doc)
     };
-    answer_set_twig_indexed(pattern, doc, &index, guard)
+    answer_set_twig_indexed(pattern, doc, &index, &Guard::unlimited())
+        .expect("unlimited guard cannot trip and no failpoint is armed")
 }
 
 /// The twig join over a caller-provided [`DocIndex`] — the entry point for
 /// matching many patterns against one indexed document without rebuilding
-/// the index per query.
+/// the index per query. One guard step is spent per stream element
+/// examined for each pattern node the stream feeds, per accepted (pattern
+/// node, element) pair, and per satisfied-bit propagation, so budgets and
+/// deadlines trip mid-sweep on large documents. Passes the `match.build`
+/// failpoint once on entry.
 pub fn answer_set_twig_indexed(
     pattern: &TreePattern,
     doc: &Document,
     index: &DocIndex,
     guard: &Guard,
 ) -> Result<Vec<DataNodeId>> {
+    failpoint::hit("match.build")?;
     let _span = tpq_obs::span!("twig.match");
     let shape = PatternShape::new(pattern);
     let mut sweep = Sweep::new(pattern, doc, index, &shape);
@@ -503,7 +494,8 @@ mod tests {
         assert_eq!(twig, answer_set(&p, &d), "{q} on {xml}: disagrees with embed");
         let mut sorted = twig.clone();
         sorted.sort_unstable();
-        assert_eq!(sorted, answer_set_naive(&p, &d), "{q} on {xml}: disagrees with naive");
+        let naive = answer_set_naive(&p, &d, &Guard::unlimited()).unwrap();
+        assert_eq!(sorted, naive, "{q} on {xml}: disagrees with naive");
         twig
     }
 
@@ -622,7 +614,7 @@ mod tests {
     fn guard_budget_trips_to_err_not_wrong_answers() {
         let (p, d, _) = setup("a//b*", "<a><b/><b/><b/><b/></a>");
         let guard = Guard::with_budget(3);
-        match answer_set_twig_guarded(&p, &d, &guard) {
+        match answer_set_twig_indexed(&p, &d, &DocIndex::build(&d), &guard) {
             Err(Error::Budget { .. }) => {}
             other => panic!("expected budget trip, got {other:?}"),
         }
@@ -631,7 +623,8 @@ mod tests {
     #[test]
     fn unlimited_guard_passes_through() {
         let (p, d, _) = setup("a//b*", "<a><b/></a>");
-        let answers = answer_set_twig_guarded(&p, &d, &Guard::unlimited()).unwrap();
+        let answers =
+            answer_set_twig_indexed(&p, &d, &DocIndex::build(&d), &Guard::unlimited()).unwrap();
         assert_eq!(answers.len(), 1);
     }
 
@@ -649,7 +642,8 @@ mod tests {
     fn match_build_failpoint_injects() {
         let _fp = failpoint::arm_for_thread("match.build", failpoint::Action::Err, 1);
         let (p, d, _) = setup("a*", "<a/>");
-        let err = answer_set_twig_guarded(&p, &d, &Guard::unlimited()).unwrap_err();
+        let index = DocIndex::build(&d);
+        let err = answer_set_twig_indexed(&p, &d, &index, &Guard::unlimited()).unwrap_err();
         assert_eq!(err, Error::Injected { point: "match.build".into() });
     }
 

@@ -11,10 +11,7 @@
 
 use tpq_base::{Cmp, Error, Guard, SmallRng, TypeId, TypeInterner, Value};
 use tpq_data::{generate_document, DataNodeId, DocIndex, Document, DocumentSpec};
-use tpq_match::{
-    answer_set, answer_set_naive, answer_set_naive_guarded, answer_set_twig,
-    answer_set_twig_guarded, answer_set_twig_indexed, Matcher,
-};
+use tpq_match::{answer_set, answer_set_naive, answer_set_twig, answer_set_twig_indexed, Matcher};
 use tpq_pattern::{parse_pattern, Condition, TreePattern};
 use tpq_workload::{random_pattern, redundancy_query, PatternSpec, RedundancySpec};
 
@@ -61,7 +58,7 @@ fn agree(pattern: &TreePattern, doc: &Document, ctx: &str) -> usize {
     let twig = answer_set_twig(pattern, doc);
     let embed = answer_set(pattern, doc);
     assert_eq!(twig, embed, "{ctx}: twig vs embed (order-sensitive)");
-    match answer_set_naive_guarded(pattern, doc, &Guard::with_budget(2_000_000)) {
+    match answer_set_naive(pattern, doc, &Guard::with_budget(2_000_000)) {
         Ok(naive) => {
             let mut sorted = twig.clone();
             sorted.sort_unstable();
@@ -120,17 +117,18 @@ fn guarded_engines_trip_to_err_not_wrong_answers() {
             ..DocumentSpec::default()
         });
         let full = answer_set_twig(&pattern, &doc);
+        let index = DocIndex::build(&doc);
         // A budget far below the work either trips or — only if the true
         // workload was tiny — returns the exact full answer.
         for budget in [1u64, 5, 25] {
-            match answer_set_twig_guarded(&pattern, &doc, &Guard::with_budget(budget)) {
+            match answer_set_twig_indexed(&pattern, &doc, &index, &Guard::with_budget(budget)) {
                 Err(Error::Budget { .. }) => {}
                 Ok(ans) => {
                     assert_eq!(ans, full, "seed {seed} budget {budget}: partial answers leaked")
                 }
                 Err(e) => panic!("seed {seed} budget {budget}: unexpected error {e:?}"),
             }
-            match answer_set_naive_guarded(&pattern, &doc, &Guard::with_budget(budget)) {
+            match answer_set_naive(&pattern, &doc, &Guard::with_budget(budget)) {
                 Err(Error::Budget { .. }) => {}
                 Ok(ans) => {
                     let mut sorted = full.clone();
@@ -162,7 +160,7 @@ fn indexed_twig_agrees_with_matcher_across_queries_on_one_doc() {
         let pattern =
             random_pattern(&PatternSpec { nodes: 5, num_types: 4, seed, ..PatternSpec::default() });
         let twig = answer_set_twig_indexed(&pattern, &doc, &index, &guard).unwrap();
-        let embed = Matcher::new(&pattern, &doc).answers().to_vec();
+        let embed = Matcher::new(&pattern, &doc, &guard).unwrap().answers();
         assert_eq!(twig, embed, "seed {seed}");
     }
 }
@@ -291,7 +289,8 @@ fn raw_figure7_queries_with_sixteen_redundant_leaves_agree() {
         assert_eq!(twig, answer_set_twig(&core.pattern, &doc), "degree {degree}: raw vs core");
         let mut sorted = twig.clone();
         sorted.sort_unstable();
-        assert_eq!(sorted, answer_set_naive(&core.pattern, &doc), "degree {degree}: vs naive");
+        let naive = answer_set_naive(&core.pattern, &doc, &Guard::unlimited()).unwrap();
+        assert_eq!(sorted, naive, "degree {degree}: vs naive");
         assert!(!twig.is_empty(), "degree {degree}: no section matched");
     }
 }

@@ -1086,7 +1086,7 @@ fn run_miss(work: MissWork, t0: Instant, draft: &mut FlightDraft) -> Result<Json
     let t_min = Instant::now();
     let out = work
         .engine
-        .minimize_miss_guarded(&work.query, work.key, &work.guard)
+        .minimize_miss(&work.query, work.key, &work.guard)
         .map_err(|e| ProtoError::from_error(&e))?;
     draft.minimize_ns += t_min.elapsed().as_nanos() as u64;
     Ok(respond(&work.query, &out, &lock_types(), t0, draft))

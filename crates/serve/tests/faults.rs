@@ -6,7 +6,7 @@
 //! no failpoint armed by one fires in another.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 use tpq_base::failpoint::{self, Action};
@@ -17,6 +17,15 @@ use tpq_serve::{ServeConfig, Server};
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+fn connect(addr: SocketAddr) -> BufReader<TcpStream> {
+    let stream = TcpStream::connect(addr).expect("connect");
+    // `writeln!` writes a line and its newline separately; without
+    // TCP_NODELAY the newline can wait out a delayed ACK (~40 ms).
+    stream.set_nodelay(true).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    BufReader::new(stream)
 }
 
 fn round_trip(conn: &mut BufReader<TcpStream>, line: &str) -> String {
@@ -53,9 +62,7 @@ fn injected_worker_faults_poison_one_request_only() {
     let handle = server.handle();
     let thread = std::thread::spawn(move || server.run().expect("run"));
 
-    let stream = TcpStream::connect(addr).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    let mut conn = BufReader::new(stream);
+    let mut conn = connect(addr);
 
     // Baseline: the query works.
     let ok = round_trip(&mut conn, r#"{"query": "Fault*[/FA][/FB]"}"#);
@@ -77,9 +84,7 @@ fn injected_worker_faults_poison_one_request_only() {
     // The same connection keeps working, as does a fresh one.
     let after = round_trip(&mut conn, r#"{"query": "Fault*[/FA][/FB]"}"#);
     assert!(after.contains("\"minimized\""), "{after}");
-    let stream2 = TcpStream::connect(addr).unwrap();
-    stream2.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    let mut conn2 = BufReader::new(stream2);
+    let mut conn2 = connect(addr);
     let other = round_trip(&mut conn2, r#"{"query": "Fault2*[/FC]"}"#);
     assert!(other.contains("\"minimized\""), "{other}");
 
@@ -123,9 +128,8 @@ fn a_panic_while_parsing_answers_its_request_and_frees_its_slot() {
     let handle = server.handle();
     let thread = std::thread::spawn(move || server.run().expect("run"));
 
-    let stream = TcpStream::connect(addr).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    let mut conn = BufReader::new(stream);
+    let mut conn = connect(addr);
+    conn.get_ref().set_read_timeout(Some(Duration::from_secs(10))).unwrap();
 
     let _fp = failpoint::arm("parse.pattern", Action::Panic, 1);
     let poisoned = round_trip(&mut conn, r#"{"query": "Parse*[/PA][/PB]"}"#);

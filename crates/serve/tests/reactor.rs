@@ -26,6 +26,9 @@ fn start(
 
 fn connect(addr: SocketAddr) -> BufReader<TcpStream> {
     let stream = TcpStream::connect(addr).expect("connect");
+    // `writeln!` writes a line and its newline separately; without
+    // TCP_NODELAY the newline can wait out a delayed ACK (~40 ms).
+    stream.set_nodelay(true).unwrap();
     stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     BufReader::new(stream)
 }
@@ -164,6 +167,7 @@ fn eof_with_responses_in_flight_still_answers_nothing_lost() {
     // must flush every response before closing.
     let (addr, handle, thread) = start(ServeConfig { jobs: 2, ..ServeConfig::default() });
     let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).unwrap();
     stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     let mut batch = String::new();
     for i in 0..8 {

@@ -28,7 +28,7 @@ fn main() -> Result<()> {
     let minimal = cim(&query);
     println!("CIM-minimal query ({} nodes):", minimal.size());
     println!("{}", to_tree_string(&minimal, &types));
-    assert!(equivalent(&query, &minimal));
+    assert!(equivalent(&query, &minimal, &Guard::unlimited())?);
 
     // ------------------------------------------------------------------
     // 2. Constraint-dependent minimization (CDM + ACIM).
@@ -46,7 +46,7 @@ fn main() -> Result<()> {
     );
     println!("{}", to_tree_string(&outcome.pattern, &types));
     println!("as DSL: {}", to_dsl(&outcome.pattern, &types));
-    assert!(equivalent_under(&query, &outcome.pattern, &ics));
+    assert!(equivalent_under(&query, &outcome.pattern, &ics, &Guard::unlimited())?);
 
     // ------------------------------------------------------------------
     // 3. The minimized query returns the same answers — demonstrably.

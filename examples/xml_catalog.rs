@@ -10,7 +10,6 @@
 //! Run with `cargo run --example xml_catalog`.
 
 use tpq::constraints::Schema;
-use tpq::matching::count_embeddings;
 use tpq::prelude::*;
 
 fn main() -> Result<()> {
@@ -66,7 +65,7 @@ fn main() -> Result<()> {
     // Figure 2(e) is Articles/Article*//Section.
     let fig2e = parse_pattern("Articles/Article*//Section", &mut types)?;
     assert!(isomorphic(&outcome.pattern, &fig2e), "reached Figure 2(e)");
-    assert!(equivalent_under(&fig2a, &outcome.pattern, &ics));
+    assert!(equivalent_under(&fig2a, &outcome.pattern, &ics, &Guard::unlimited())?);
 
     // ------------------------------------------------------------------
     // Run both against a catalog document that satisfies the schema.
@@ -95,8 +94,8 @@ fn main() -> Result<()> {
     println!("\nboth queries return the same {} article(s) on the catalog ✓", after.len());
     println!(
         "embeddings enumerated: {} for Figure 2(a) vs {} for the minimal query",
-        count_embeddings(&fig2a, &catalog),
-        count_embeddings(&outcome.pattern, &catalog),
+        Matcher::new(&fig2a, &catalog, &Guard::unlimited())?.count_embeddings(),
+        Matcher::new(&outcome.pattern, &catalog, &Guard::unlimited())?.count_embeddings(),
     );
     Ok(())
 }

@@ -10,7 +10,6 @@
 
 use tpq::constraints::Schema;
 use tpq::core::{minimize_closed_guarded, Strategy};
-use tpq::matching::count_embeddings;
 use tpq::pattern::parse_xpath;
 use tpq::prelude::*;
 
@@ -63,7 +62,7 @@ fn main() -> Result<()> {
             out.pattern.size(),
             to_dsl(&out.pattern, &types)
         );
-        assert!(equivalent_under(&q, &out.pattern, &closed));
+        assert!(equivalent_under(&q, &out.pattern, &closed, &Guard::unlimited())?);
         // Minimal queries are unique (Theorem 5.1): a second pass is a no-op.
         let again = minimize_closed_guarded(
             &out.pattern,
@@ -81,8 +80,8 @@ fn main() -> Result<()> {
         println!(
             "answers: {} book(s); embeddings enumerated {} -> {}\n",
             after.len(),
-            count_embeddings(&q, &catalog),
-            count_embeddings(&out.pattern, &catalog),
+            Matcher::new(&q, &catalog, &Guard::unlimited())?.count_embeddings(),
+            Matcher::new(&out.pattern, &catalog, &Guard::unlimited())?.count_embeddings(),
         );
     }
     println!("all three queries verified against the catalog ✓");

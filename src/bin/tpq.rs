@@ -66,6 +66,8 @@
 use std::process::ExitCode;
 use tpq::constraints::Schema;
 use tpq::core::{minimize_closed_guarded, Strategy};
+use tpq::data::DocIndex;
+use tpq::matching::answer_set_twig_indexed;
 use tpq::prelude::*;
 
 fn main() -> ExitCode {
@@ -502,21 +504,30 @@ fn cmd_match(args: &[String]) -> Result2<()> {
     let doc =
         parse_xml_reader(std::io::BufReader::new(file), &mut types).map_err(|e| e.to_string())?;
     let engine = opts.get("engine").unwrap_or("twig");
+    let guard = Guard::unlimited();
     if opts.flag("count") {
         let n = match engine {
-            "naive" => count_embeddings_naive(&query, &doc),
-            "twig" | "embed" => count_embeddings(&query, &doc),
+            "naive" => count_embeddings_naive(&query, &doc, &guard),
+            "twig" | "embed" => Matcher::new(&query, &doc, &guard).map(|m| m.count_embeddings()),
             other => return Err(format!("unknown engine '{other}' (twig|embed|naive)")),
-        };
+        }
+        .map_err(|e| e.to_string())?;
         println!("{n}");
         return Ok(());
     }
     let mut answers = match engine {
-        "twig" => answer_set_twig(&query, &doc),
-        "embed" => answer_set(&query, &doc),
-        "naive" => answer_set_naive(&query, &doc),
+        "twig" => {
+            let index = {
+                let _s = tpq::obs::span!("twig.index");
+                DocIndex::build(&doc)
+            };
+            answer_set_twig_indexed(&query, &doc, &index, &guard)
+        }
+        "embed" => Matcher::new(&query, &doc, &guard).map(|m| m.answers()),
+        "naive" => answer_set_naive(&query, &doc, &guard),
         other => return Err(format!("unknown engine '{other}' (twig|embed|naive)")),
-    };
+    }
+    .map_err(|e| e.to_string())?;
     // Engines return different orders (pre-order vs arena); print in
     // arena order so output is engine-independent and diff-able.
     answers.sort_unstable();
@@ -542,8 +553,9 @@ fn cmd_check(args: &[String]) -> Result2<()> {
     let q1 = parse_pattern(opts.require("q1")?, &mut types).map_err(|e| e.to_string())?;
     let q2 = parse_pattern(opts.require("q2")?, &mut types).map_err(|e| e.to_string())?;
     let ics = gather_constraints(&opts, &mut types)?;
-    let fwd = contains_under(&q1, &q2, &ics);
-    let bwd = contains_under(&q2, &q1, &ics);
+    let guard = Guard::unlimited();
+    let fwd = contains_under(&q1, &q2, &ics, &guard).map_err(|e| e.to_string())?;
+    let bwd = contains_under(&q2, &q1, &ics, &guard).map_err(|e| e.to_string())?;
     println!("q1 ⊆ q2: {fwd}");
     println!("q2 ⊆ q1: {bwd}");
     println!(

@@ -316,6 +316,23 @@ fn failpoint_env_injects_a_deterministic_fault() {
         "{}",
         stderr(&out)
     );
+    // Every matcher that passes `match.build` reports the fault as an
+    // error, not as a panic.
+    let doc = temp_file("fp-org.xml", "<Dept><Manager/></Dept>");
+    let doc = doc.to_str().unwrap();
+    for extra in [&["--engine", "twig"][..], &["--engine", "embed"], &["--count"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_tpq"))
+            .args(["match", "Dept*//Manager", doc])
+            .args(extra)
+            .env("TPQ_FAILPOINT", "match.build=err")
+            .output()
+            .expect("binary runs");
+        let code = out.status.code();
+        assert!(code.is_some_and(|c| c != 0 && c != 101), "{extra:?}: exit {code:?}");
+        let err = stderr(&out);
+        assert!(err.contains("injected fault at failpoint 'match.build'"), "{extra:?}: {err}");
+        assert!(!err.contains("panicked"), "{extra:?}: {err}");
+    }
     // Bad specs are ignored (fail-open), and an unrelated name is inert.
     let out = Command::new(env!("CARGO_BIN_EXE_tpq"))
         .args(["minimize", "--query", "a*[/b]"])

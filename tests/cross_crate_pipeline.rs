@@ -3,7 +3,7 @@
 
 use tpq::constraints::{repair, satisfies, Schema};
 use tpq::core::Strategy;
-use tpq::matching::{answer_set_forest, count_embeddings};
+use tpq::matching::answer_set_forest;
 use tpq::prelude::*;
 
 #[test]
@@ -29,7 +29,7 @@ fn publishing_house_end_to_end() {
     // (Book ->> LastName); Author/LastName is implied too: Book -> Author
     // and Author -> LastName.
     assert_eq!(out.pattern.size(), 2, "only Catalog/Book* survives");
-    assert!(equivalent_under(&q, &out.pattern, &ics));
+    assert!(equivalent_under(&q, &out.pattern, &ics, &Guard::unlimited()).unwrap());
 
     // Build a raw catalog missing required pieces, repair it, and verify
     // query/minimized-query agreement on the repaired version.
@@ -100,8 +100,8 @@ fn minimization_reduces_matching_work() {
     xml.push_str("</Dept>");
     let doc = parse_xml(&xml, &mut tys).unwrap();
 
-    let full = count_embeddings(&q, &doc);
-    let reduced = count_embeddings(&m, &doc);
+    let full = Matcher::new(&q, &doc, &Guard::unlimited()).unwrap().count_embeddings();
+    let reduced = Matcher::new(&m, &doc, &Guard::unlimited()).unwrap().count_embeddings();
     assert!(reduced < full, "{reduced} vs {full}");
     // Same answers regardless.
     assert_eq!(answer_set(&q, &doc), answer_set(&m, &doc));

@@ -39,7 +39,7 @@ fn cim_preserves_equivalence() {
         let q = pattern(case, nodes, nt);
         let m = cim(&q);
         assert!(m.size() <= q.size());
-        assert!(equivalent(&q, &m), "not equivalent for case {case}");
+        assert!(equivalent(&q, &m, &Guard::unlimited()).unwrap(), "not equivalent for case {case}");
         m.validate().unwrap();
     }
 }
@@ -169,8 +169,16 @@ fn homomorphism_pruning_matches_naive() {
         let n2 = r.gen_range(1..8usize);
         let a = pattern(case, n1, 3);
         let b = pattern(case ^ 0xFFFF, n2, 3);
-        assert_eq!(has_homomorphism(&a, &b), has_homomorphism_naive(&a, &b), "case {case} a→b");
-        assert_eq!(has_homomorphism(&b, &a), has_homomorphism_naive(&b, &a), "case {case} b→a");
+        assert_eq!(
+            has_homomorphism(&a, &b, &Guard::unlimited()).unwrap(),
+            has_homomorphism_naive(&a, &b),
+            "case {case} a→b"
+        );
+        assert_eq!(
+            has_homomorphism(&b, &a, &Guard::unlimited()).unwrap(),
+            has_homomorphism_naive(&b, &a),
+            "case {case} b→a"
+        );
     }
 }
 
@@ -188,7 +196,7 @@ fn evaluator_matches_naive() {
         });
         let mut fast = answer_set(&q, &doc);
         fast.sort_unstable();
-        assert_eq!(fast, answer_set_naive(&q, &doc), "case {case}");
+        assert_eq!(fast, answer_set_naive(&q, &doc, &Guard::unlimited()).unwrap(), "case {case}");
     }
 }
 
@@ -233,7 +241,7 @@ fn acim_preserves_equivalence_under_ics_over(num_types: usize) {
         let a = minimize_with(&q, &ics, Strategy::AcimOnly).pattern;
         let c = cim(&q);
         assert!(a.size() <= c.size(), "ACIM must subsume CIM (case {case})");
-        assert!(equivalent_under(&q, &a, &ics), "case {case}");
+        assert!(equivalent_under(&q, &a, &ics, &Guard::unlimited()).unwrap(), "case {case}");
         a.validate().unwrap();
     }
 }
@@ -259,7 +267,7 @@ fn cdm_locally_minimal_over(ic_types: usize) {
         let ics =
             random_constraints(&ConstraintSpec { count, num_types: ic_types, seed: case << 8 });
         let m = cdm(&q, &ics);
-        assert!(equivalent_under(&q, &m, &ics), "case {case}");
+        assert!(equivalent_under(&q, &m, &ics, &Guard::unlimited()).unwrap(), "case {case}");
         let closed = ics.closure();
         assert!(
             locally_redundant_leaves(&m, &closed).is_empty(),

@@ -148,7 +148,8 @@ fn interrupted_minimization_is_never_wrong() {
                     Err(e) => assert!(e.is_budget(), "{strategy:?} budget={budget}: {e}"),
                     Ok(out) => {
                         assert!(
-                            equivalent_under(&q, &out.pattern, &closed),
+                            equivalent_under(&q, &out.pattern, &closed, &Guard::unlimited())
+                                .unwrap(),
                             "{strategy:?} budget={budget}: non-equivalent result"
                         );
                     }
@@ -174,13 +175,12 @@ fn guarded_matchers_honor_budgets() {
     }
     let q = parse_pattern("t0*[//t1][//t2]//t3", &mut tys).unwrap();
     // The production matcher and the naive cross-validator both trip.
-    let err = Matcher::new_guarded(&q, &doc, &Guard::with_budget(3)).err().expect("must trip");
+    let err = Matcher::new(&q, &doc, &Guard::with_budget(3)).err().expect("must trip");
     assert!(err.is_budget(), "{err}");
-    let err =
-        tpq::matching::answer_set_naive_guarded(&q, &doc, &Guard::with_budget(3)).unwrap_err();
+    let err = tpq::matching::answer_set_naive(&q, &doc, &Guard::with_budget(3)).unwrap_err();
     assert!(err.is_budget(), "{err}");
     // Unlimited guards agree with the infallible entry points.
-    let fast = Matcher::new_guarded(&q, &doc, &Guard::unlimited()).unwrap().answers();
+    let fast = Matcher::new(&q, &doc, &Guard::unlimited()).unwrap().answers();
     let mut plain = answer_set(&q, &doc);
     plain.sort_unstable();
     let mut fast = fast;
@@ -237,9 +237,9 @@ fn matcher_build_failpoint_fires() {
     let mut tys = TypeInterner::new();
     let doc = parse_xml("<a><b/></a>", &mut tys).unwrap();
     let q = parse_pattern("a*/b", &mut tys).unwrap();
-    let err = Matcher::new_guarded(&q, &doc, &Guard::unlimited()).err().expect("must fire");
+    let err = Matcher::new(&q, &doc, &Guard::unlimited()).err().expect("must fire");
     assert_eq!(err, Error::Injected { point: "match.build".into() });
-    assert!(Matcher::new_guarded(&q, &doc, &Guard::unlimited()).is_ok(), "one-shot");
+    assert!(Matcher::new(&q, &doc, &Guard::unlimited()).is_ok(), "one-shot");
 }
 
 #[test]
