@@ -23,12 +23,11 @@ use tpq_pattern::TreePattern;
 use tpq_workload::{redundancy_query, relevant_constraints, RedundancySpec};
 
 /// Matching throughput (document nodes per second, higher is better) of
-/// the twig join vs the embed matcher over streamed-from-disk documents of
-/// growing size. Each measured run is one-shot — index build included —
-/// because that is what `tpq match` and the serve path pay.
+/// the matcher over streamed-from-disk documents of growing size. Each
+/// measured run is one-shot — index build included — because that is what
+/// `tpq match` pays.
 pub fn match_throughput(cfg: &ExpConfig) -> Panel {
     let xs = cfg.grid(&[10_000, 40_000, 120_000], &[2_000, 8_000]);
-    let mut twig_pts = Vec::new();
     let mut embed_pts = Vec::new();
     for &x in &xs {
         let spec = XmlStreamSpec { nodes: x as usize, seed: cfg.seed, ..XmlStreamSpec::default() };
@@ -46,25 +45,17 @@ pub fn match_throughput(cfg: &ExpConfig) -> Panel {
         })()
         .expect("temp dir is writable");
         let _ = std::fs::remove_file(&path);
-        // A three-level twig over the generator's densest types.
+        // A three-level pattern over the generator's densest types.
         let query = tpq_pattern::parse_pattern("t0*[//t1]//t2", &mut types).unwrap();
-        let (twig_m, twig_ans) =
-            measure_micros(cfg.iters, || tpq_match::answer_set_twig(&query, &doc));
-        let (embed_m, embed_ans) =
-            measure_micros(cfg.iters, || tpq_match::answer_set(&query, &doc));
-        assert_eq!(twig_ans, embed_ans, "engines disagree at {x} nodes");
-        twig_pts.push(throughput_point(x, twig_m));
+        let (embed_m, _) = measure_micros(cfg.iters, || tpq_match::answer_set(&query, &doc));
         embed_pts.push(throughput_point(x, embed_m));
     }
     Panel {
         id: "match-throughput".into(),
-        title: "matching throughput on streamed documents: twig join vs embed".into(),
+        title: "matching throughput on streamed documents".into(),
         x_label: "DocNodes".into(),
         unit: UNIT_THROUGHPUT.into(),
-        series: vec![
-            Series { label: "Twig".into(), points: twig_pts },
-            Series { label: "Embed".into(), points: embed_pts },
-        ],
+        series: vec![Series { label: "Embed".into(), points: embed_pts }],
     }
 }
 
@@ -92,15 +83,15 @@ pub fn minimize_then_match(cfg: &ExpConfig) -> Panel {
     let mut pipe_pts = Vec::new();
     for x in redundancy_grid(cfg) {
         let MatchCase { raw, ics, minimized, doc } = match_case(cfg, x);
-        let (raw_m, raw_ans) = measure_micros(cfg.iters, || tpq_match::answer_set_twig(&raw, &doc));
+        let (raw_m, raw_ans) = measure_micros(cfg.iters, || tpq_match::answer_set(&raw, &doc));
         let (min_m, min_ans) =
-            measure_micros(cfg.iters, || tpq_match::answer_set_twig(&minimized, &doc));
+            measure_micros(cfg.iters, || tpq_match::answer_set(&minimized, &doc));
         // ICs hold vacuously relevant here — minimization must not change
         // the answers on any document the raw/minimized pair agrees on.
         assert_eq!(raw_ans, min_ans, "minimized query changed the answer set at x={x}");
         let (pipe_m, _) = measure_micros(cfg.iters, || {
             let m = minimize_with(&raw, &ics, Strategy::default()).pattern;
-            tpq_match::answer_set_twig(&m, &doc)
+            tpq_match::answer_set(&m, &doc)
         });
         raw_pts.push(Point::timed(x, raw_m));
         min_pts.push(Point::timed(x, min_m));
@@ -163,7 +154,7 @@ mod tests {
         let p = match_throughput(&ExpConfig::quick());
         assert_eq!(p.unit, UNIT_THROUGHPUT);
         assert!(!p.lower_is_better(), "throughput wants higher values");
-        assert_eq!(p.series.len(), 2);
+        assert_eq!(p.series.len(), 1);
         for s in &p.series {
             for pt in &s.points {
                 assert!(pt.micros > 0.0, "{}: zero throughput", s.label);
@@ -175,17 +166,16 @@ mod tests {
     #[test]
     fn minimized_matching_beats_raw_at_max_redundancy() {
         // The claim is Minimized < Raw (the pattern is ~half the size),
-        // measured as work rather than wall time: the twig join spends one
-        // guard step per stream element, merge event and propagation, so
-        // the count is the same on an idle and a loaded host.
+        // measured as work rather than wall time: the matcher spends one
+        // guard step per seed-list element and per merged element, so the
+        // count is the same on an idle and a loaded host.
         let cfg = ExpConfig::quick();
         let x = *redundancy_grid(&cfg).last().unwrap();
         let case = match_case(&cfg, x);
-        let index = tpq_data::DocIndex::build(&case.doc);
         let work = |q: &TreePattern| {
             let guard = tpq_base::Guard::with_budget(u64::MAX);
-            let answers = tpq_match::answer_set_twig_indexed(q, &case.doc, &index, &guard).unwrap();
-            (guard.spent(), answers)
+            let m = tpq_match::Matcher::new(q, &case.doc, &guard).unwrap();
+            (guard.spent(), m.answers())
         };
         let (raw, raw_answers) = work(&case.raw);
         let (min, min_answers) = work(&case.minimized);

@@ -1,4 +1,10 @@
-//! The production evaluator: candidate pruning + feasibility.
+//! The evaluator: two semi-join passes over pre-order ids.
+//!
+//! This is the O(|D|·|Q|) candidate pruning of Gottlob, Koch and Schulz
+//! ("Conjunctive Queries over Trees", PAPERS.md). On a pre-ordered
+//! document a node's id is its pre-order rank and its subtree is the id
+//! interval up to [`Document::subtree_end`], so every structural check
+//! below is a linear merge of two ascending id lists.
 //!
 //! Phase 1 (bottom-up): for each pattern node `v`, compute `cand(v)` — the
 //! data nodes `u` such that the subtree of `v` embeds with `v ↦ u`. The
@@ -9,111 +15,108 @@
 //!
 //! Phase 2 (top-down): intersect with reachability from the root to get
 //! `feasible(v)` — the data nodes that participate in at least one *full*
-//! embedding. The answer set is `feasible(output)`.
+//! embedding. The answer set is `feasible(output)`, which depends only on
+//! the `cand` lists of the root→output path, so the pass walks that path
+//! alone.
 
-use crate::{prefix_max_end, PreOrdered};
-use tpq_base::{failpoint, FxHashSet, Guard, Result};
+use crate::PreOrdered;
+use std::borrow::Cow;
+use tpq_base::{failpoint, Guard, Result, TypeId};
 use tpq_data::{DataNodeId, DocIndex, Document};
-use tpq_pattern::{EdgeKind, NodeId, TreePattern};
+use tpq_pattern::{condition, EdgeKind, NodeId, TreePattern};
 
-/// Per-pattern-child acceleration structure for the bottom-up pass: does
-/// a candidate of the child sit correctly below a given parent image?
-///
-/// * c-edge: the set of parents of the child's candidates (O(1) probe);
-/// * d-edge: the child's candidates ascend in document order, so some
-///   candidate lies inside `u`'s subtree iff the first one after `u` is at
-///   most `subtree_end(u)` — one binary search.
-enum ChildCheck<'c> {
-    /// c-edge, few candidates: a plain scan beats building a set.
-    FewChildren(&'c [DataNodeId]),
-    Children(FxHashSet<DataNodeId>),
-    Descendants(&'c [DataNodeId]),
+/// A candidate list: the index's own list of a type when a pattern node
+/// takes every node of it, else a filtered copy.
+enum Cand {
+    Type(TypeId),
+    Own(Vec<DataNodeId>),
 }
 
-/// Below this length, linear scans win over hash/binary-search setups.
-const SMALL_LIST: usize = 16;
-
-impl<'c> ChildCheck<'c> {
-    fn build(edge: EdgeKind, cand: &'c [DataNodeId], doc: &Document) -> Self {
-        match edge {
-            EdgeKind::Child if cand.len() <= SMALL_LIST => ChildCheck::FewChildren(cand),
-            EdgeKind::Child => {
-                ChildCheck::Children(cand.iter().filter_map(|&u2| doc.parent(u2)).collect())
-            }
-            EdgeKind::Descendant => ChildCheck::Descendants(cand),
+impl Cand {
+    fn list<'l>(&'l self, index: &'l DocIndex) -> &'l [DataNodeId] {
+        match self {
+            Cand::Type(t) => index.nodes_of_type(*t),
+            Cand::Own(list) => list,
         }
     }
 
-    fn has_image_below(&self, u: DataNodeId, doc: &Document) -> bool {
+    /// The elements `keep` accepts, offered in ascending order.
+    fn retain(self, index: &DocIndex, mut keep: impl FnMut(DataNodeId) -> bool) -> Cand {
         match self {
-            ChildCheck::FewChildren(cand) => cand.iter().any(|&u2| doc.parent(u2) == Some(u)),
-            ChildCheck::Children(parents) => parents.contains(&u),
-            ChildCheck::Descendants(cand) => {
-                let from = cand.partition_point(|&u2| u2 <= u);
-                cand.get(from).is_some_and(|&u2| u2 <= doc.subtree_end(u))
+            Cand::Type(t) => {
+                Cand::Own(index.nodes_of_type(t).iter().copied().filter(|&u| keep(u)).collect())
+            }
+            Cand::Own(mut list) => {
+                list.retain(|&u| keep(u));
+                Cand::Own(list)
             }
         }
     }
 }
 
-/// Acceleration structure for the top-down pass: does a feasible parent
-/// image sit correctly above a given child candidate?
-///
-/// * c-edge: probe the feasible set with the candidate's parent;
-/// * d-edge: among feasible images before `u2` (a prefix of the ascending
-///   list), an ancestor exists iff the furthest subtree end in that prefix
-///   reaches `u2`.
-enum ParentCheck<'f> {
-    Linear(&'f [DataNodeId]),
-    Indexed { feasible: &'f [DataNodeId], set: FxHashSet<DataNodeId>, reach: Vec<u32> },
-}
+/// One bit per document node, all clear between uses: the c-edge checks
+/// of both passes set the bits of a set of nodes, probe them, then clear
+/// the same bits.
+struct Marks(Vec<u64>);
 
-impl<'f> ParentCheck<'f> {
-    fn build(feasible: &'f [DataNodeId], doc: &Document) -> Self {
-        if feasible.len() <= SMALL_LIST {
-            return ParentCheck::Linear(feasible);
-        }
-        debug_assert!(feasible.windows(2).all(|w| w[0] < w[1]));
-        ParentCheck::Indexed {
-            feasible,
-            set: feasible.iter().copied().collect(),
-            reach: prefix_max_end(doc, feasible),
+impl Marks {
+    fn new(nodes: usize) -> Self {
+        Marks(vec![0; nodes.div_ceil(64)])
+    }
+
+    fn set(&mut self, nodes: impl Iterator<Item = DataNodeId>) {
+        for u in nodes {
+            self.0[u.index() / 64] |= 1 << (u.0 % 64);
         }
     }
 
-    fn has_image_above(&self, u2: DataNodeId, edge: EdgeKind, doc: &Document) -> bool {
-        match self {
-            ParentCheck::Linear(feasible) => feasible.iter().any(|&u| match edge {
-                EdgeKind::Child => doc.parent(u2) == Some(u),
-                EdgeKind::Descendant => doc.is_proper_ancestor(u, u2),
-            }),
-            ParentCheck::Indexed { feasible, set, reach } => match edge {
-                EdgeKind::Child => doc.parent(u2).is_some_and(|p| set.contains(&p)),
-                EdgeKind::Descendant => reach[feasible.partition_point(|&p| p < u2)] > u2.0,
-            },
+    fn clear(&mut self, nodes: impl Iterator<Item = DataNodeId>) {
+        for u in nodes {
+            self.0[u.index() / 64] &= !(1 << (u.0 % 64));
         }
+    }
+
+    fn has(&self, u: DataNodeId) -> bool {
+        self.0[u.index() / 64] & (1 << (u.0 % 64)) != 0
+    }
+}
+
+/// `u` has a node of the ascending `below` strictly inside its subtree.
+/// Offered ascending `u`s, the first element after `u` only moves
+/// forward, so one pass over `below` serves all of them.
+fn has_descendant_in<'b>(
+    doc: &'b Document,
+    below: &'b [DataNodeId],
+) -> impl FnMut(DataNodeId) -> bool + 'b {
+    let mut next = 0;
+    move |u| {
+        while below.get(next).is_some_and(|&w| w <= u) {
+            next += 1;
+        }
+        below.get(next).is_some_and(|&w| w <= doc.subtree_end(u))
     }
 }
 
 /// A prepared matcher for one `(pattern, document)` pair. Build once with
-/// [`Matcher::new`], then query candidates, feasibility, answers and
-/// counts without recomputation. Node ids it returns are the caller's,
-/// also when the document had to be renumbered in pre-order.
+/// [`Matcher::new`], then query candidates, answers and counts without
+/// recomputation. Node ids it returns are the caller's, also when the
+/// document had to be renumbered in pre-order.
 pub struct Matcher<'a> {
     pattern: &'a TreePattern,
     doc: PreOrdered<'a>,
+    index: Cow<'a, DocIndex>,
     /// `cand[v]`: subtree-embedding candidates, ascending.
-    cand: Vec<Vec<DataNodeId>>,
-    /// `feasible[v]`: candidates reachable in a full embedding.
-    feasible: Vec<Vec<DataNodeId>>,
+    cand: Vec<Cand>,
+    /// `feasible(output)`: the answer set, ascending.
+    answers: Vec<DataNodeId>,
 }
 
 impl<'a> Matcher<'a> {
-    /// Build candidate and feasibility tables for `pattern` on `doc`. The
-    /// bottom-up candidate pass spends one guard step per candidate
-    /// examined and the top-down pass one per feasibility probe, so a
-    /// deadline or budget trips mid-build on large documents. Passes the
-    /// `match.build` failpoint once on entry.
+    /// Build the candidate lists and the answer set of `pattern` on `doc`,
+    /// indexing `doc` first. One guard step is spent per seed-list element
+    /// and one per element of each merge, so a deadline or budget trips
+    /// mid-build on large documents. Passes the `match.build` failpoint
+    /// once on entry.
     ///
     /// ```
     /// use tpq_base::{Guard, TypeInterner};
@@ -136,91 +139,137 @@ impl<'a> Matcher<'a> {
             let _s = tpq_obs::span!("match.index");
             DocIndex::build(&doc)
         };
+        Matcher::build(pattern, doc, Cow::Owned(index), guard)
+    }
+
+    /// [`Matcher::new`] over a caller-built [`DocIndex`] of `doc`, for
+    /// matching many patterns against one document without rebuilding the
+    /// index per pattern. A document whose ids are not in pre-order is
+    /// renumbered and indexed afresh, as [`Matcher::new`] does.
+    pub(crate) fn with_index(
+        pattern: &'a TreePattern,
+        doc: &'a Document,
+        index: &'a DocIndex,
+        guard: &Guard,
+    ) -> Result<Self> {
+        if !doc.is_pre_order() {
+            return Matcher::new(pattern, doc, guard);
+        }
+        failpoint::hit("match.build")?;
+        let _span = tpq_obs::span!("match.build");
+        Matcher::build(pattern, PreOrdered::new(doc), Cow::Borrowed(index), guard)
+    }
+
+    fn build(
+        pattern: &'a TreePattern,
+        doc: PreOrdered<'a>,
+        index: Cow<'a, DocIndex>,
+        guard: &Guard,
+    ) -> Result<Self> {
+        let mut marks = Marks::new(doc.len());
         let cand_span = tpq_obs::span!("match.candidates");
-        let mut cand: Vec<Vec<DataNodeId>> = vec![Vec::new(); pattern.arena_len()];
-        // Bottom-up candidates.
+        let mut cand: Vec<Cand> = (0..pattern.arena_len()).map(|_| Cand::Own(Vec::new())).collect();
         for v in pattern.post_order() {
             let node = pattern.node(v);
-            let mut list: Vec<DataNodeId> = {
-                // Seed from the rarest type's list, then check the full
-                // type set and the value conditions.
-                let seed = node
-                    .types
-                    .iter()
-                    .min_by_key(|t| index.nodes_of_type(*t).len())
-                    .expect("non-empty type set");
-                index
-                    .nodes_of_type(seed)
-                    .iter()
-                    .copied()
-                    .filter(|&u| {
-                        doc.has_types(u, &node.types)
-                            && tpq_pattern::condition::satisfied_by(&node.conditions, doc.attrs(u))
-                    })
-                    .collect()
-            };
-            guard.spend(list.len() as u64 + 1)?;
-            let children: Vec<NodeId> =
-                node.children.iter().copied().filter(|&c| pattern.is_alive(c)).collect();
-            if !children.is_empty() {
-                // Structural-join style checks: O(1)/O(log k) per
-                // candidate instead of scanning child candidate lists.
-                let checks: Vec<ChildCheck> = children
-                    .iter()
-                    .map(|&w| ChildCheck::build(pattern.node(w).edge, &cand[w.index()], &doc))
-                    .collect();
-                list.retain(|&u| checks.iter().all(|c| c.has_image_below(u, &doc)));
+            // Seed from the rarest type's list; borrow it when every
+            // element qualifies, else check the full type set and the
+            // value conditions.
+            let seed = node
+                .types
+                .iter()
+                .min_by_key(|t| index.nodes_of_type(*t).len())
+                .expect("non-empty type set");
+            guard.spend(index.nodes_of_type(seed).len() as u64 + 1)?;
+            let mut list = Cand::Type(seed);
+            if node.types.len() > 1 || !node.conditions.is_empty() {
+                list = list.retain(&index, |u| {
+                    doc.has_types(u, &node.types)
+                        && condition::satisfied_by(&node.conditions, doc.attrs(u))
+                });
+            }
+            for &w in node.children.iter().filter(|&&w| pattern.is_alive(w)) {
+                let below = cand[w.index()].list(&index);
+                guard.spend((list.list(&index).len() + below.len()) as u64)?;
+                list = match pattern.node(w).edge {
+                    EdgeKind::Descendant => list.retain(&index, has_descendant_in(&doc, below)),
+                    EdgeKind::Child => {
+                        let parents = || below.iter().filter_map(|&c| doc.parent(c));
+                        marks.set(parents());
+                        let list = list.retain(&index, |u| marks.has(u));
+                        marks.clear(parents());
+                        list
+                    }
+                };
             }
             cand[v.index()] = list;
         }
         if tpq_obs::enabled() {
-            let total: usize = cand.iter().map(Vec::len).sum();
+            let total: usize = cand.iter().map(|c| c.list(&index).len()).sum();
             tpq_obs::incr("match.candidates", total as u64);
         }
         drop(cand_span);
-        // Top-down feasibility.
         let _join_span = tpq_obs::span!("match.join");
-        let mut feasible: Vec<Vec<DataNodeId>> = vec![Vec::new(); pattern.arena_len()];
-        feasible[pattern.root().index()] = cand[pattern.root().index()].clone();
-        for v in pattern.pre_order() {
-            let parents = &feasible[v.index()];
-            let parent_check = ParentCheck::build(parents, &doc);
-            let mut results: Vec<(NodeId, Vec<DataNodeId>)> = Vec::new();
-            for &w in &pattern.node(v).children {
-                if !pattern.is_alive(w) {
-                    continue;
-                }
-                guard.spend(cand[w.index()].len() as u64 + 1)?;
-                let edge = pattern.node(w).edge;
-                let filtered: Vec<DataNodeId> = cand[w.index()]
-                    .iter()
-                    .copied()
-                    .filter(|&u2| parent_check.has_image_above(u2, edge, &doc))
-                    .collect();
-                results.push((w, filtered));
-            }
-            for (w, filtered) in results {
-                feasible[w.index()] = filtered;
-            }
+        let mut path = vec![pattern.output()];
+        while let Some(p) = pattern.node(*path.last().expect("non-empty")).parent {
+            path.push(p);
         }
-        Ok(Matcher { pattern, doc, cand, feasible })
+        let root = path.pop().expect("the path ends at the root");
+        let mut feasible = cand[root.index()].list(&index).to_vec();
+        for &w in path.iter().rev() {
+            let below = cand[w.index()].list(&index);
+            guard.spend((feasible.len() + below.len()) as u64 + 1)?;
+            feasible = match pattern.node(w).edge {
+                EdgeKind::Child => {
+                    marks.set(feasible.iter().copied());
+                    let kept = below
+                        .iter()
+                        .copied()
+                        .filter(|&c| doc.parent(c).is_some_and(|p| marks.has(p)))
+                        .collect();
+                    marks.clear(feasible.iter().copied());
+                    kept
+                }
+                EdgeKind::Descendant => {
+                    // `reach`: one past the furthest subtree end among the
+                    // feasible parents before `c`, so one of them is a
+                    // proper ancestor of `c` iff `reach > c`.
+                    let (mut next, mut reach) = (0, 0u32);
+                    below
+                        .iter()
+                        .copied()
+                        .filter(|&c| {
+                            while let Some(&p) = feasible.get(next).filter(|&&p| p < c) {
+                                reach = reach.max(doc.subtree_end(p).0 + 1);
+                                next += 1;
+                            }
+                            reach > c.0
+                        })
+                        .collect()
+                }
+            };
+        }
+        Ok(Matcher { pattern, doc, index, cand, answers: feasible })
+    }
+
+    fn cand(&self, v: NodeId) -> &[DataNodeId] {
+        self.cand[v.index()].list(&self.index)
     }
 
     /// Does at least one embedding exist?
     pub fn matches(&self) -> bool {
-        !self.cand[self.pattern.root().index()].is_empty()
+        !self.cand(self.pattern.root()).is_empty()
     }
 
     /// Data nodes the output node binds to across all embeddings, in
     /// document order.
     pub fn answers(&self) -> Vec<DataNodeId> {
-        self.doc.to_caller(self.feasible[self.pattern.output().index()].clone())
+        self.doc.to_caller(self.answers.clone())
     }
 
     /// Subtree-embedding candidates of a pattern node (phase 1 result), in
     /// document order.
     pub fn candidates(&self, v: NodeId) -> Vec<DataNodeId> {
-        self.doc.to_caller(self.cand[v.index()].clone())
+        self.doc.to_caller(self.cand(v).to_vec())
     }
 
     /// Total number of embeddings (may be exponential in value; saturates
@@ -233,13 +282,13 @@ impl<'a> Matcher<'a> {
         // `count[v][i]`: embeddings of `v`'s subtree with `v ↦ cand[v][i]`.
         let mut count: Vec<Vec<u64>> = vec![Vec::new(); self.pattern.arena_len()];
         for v in self.pattern.post_order() {
-            let cand = &self.cand[v.index()];
+            let cand = self.cand(v);
             let mut counts = vec![1u64; cand.len()];
             for &w in &self.pattern.node(v).children {
                 if !self.pattern.is_alive(w) {
                     continue;
                 }
-                let below = &self.cand[w.index()];
+                let below = self.cand(w);
                 let below_counts = &count[w.index()];
                 match self.pattern.node(w).edge {
                     EdgeKind::Child => {
@@ -312,7 +361,7 @@ impl<'a> Matcher<'a> {
         let v = order[i];
         let parent_img = self.pattern.node(v).parent.map(|p| binding[&p]);
         let edge = self.pattern.node(v).edge;
-        for &u in &self.cand[v.index()] {
+        for &u in self.cand(v) {
             if let Some(pu) = parent_img {
                 let ok = match edge {
                     EdgeKind::Child => self.doc.parent(u) == Some(pu),
@@ -340,6 +389,28 @@ pub fn answer_set(pattern: &TreePattern, doc: &Document) -> Vec<DataNodeId> {
         .answers()
 }
 
+/// [`answer_set`] under the name of the former twig-join engine, for
+/// callers written against it.
+pub fn answer_set_twig(pattern: &TreePattern, doc: &Document) -> Vec<DataNodeId> {
+    answer_set(pattern, doc)
+}
+
+/// The answer set of `pattern` on `doc` over a caller-built [`DocIndex`]
+/// of `doc`, for matching many patterns against one document without
+/// rebuilding the index per pattern; [`Matcher::new`] without the index
+/// build, which it otherwise equals, guard charges and the `match.build`
+/// failpoint included. A document whose ids are not in pre-order is
+/// renumbered and indexed afresh. Named after the former twig-join
+/// engine, for callers written against it.
+pub fn answer_set_twig_indexed(
+    pattern: &TreePattern,
+    doc: &Document,
+    index: &DocIndex,
+    guard: &Guard,
+) -> Result<Vec<DataNodeId>> {
+    Matcher::with_index(pattern, doc, index, guard).map(|m| m.answers())
+}
+
 /// Answer sets per tree of a forest, as `(tree_index, node)` pairs.
 pub fn answer_set_forest(
     pattern: &TreePattern,
@@ -356,7 +427,8 @@ pub fn answer_set_forest(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpq_base::TypeInterner;
+    use crate::answer_set_naive;
+    use tpq_base::{Error, TypeInterner};
     use tpq_data::parse_xml;
     use tpq_pattern::parse_pattern;
 
@@ -371,12 +443,23 @@ mod tests {
         Matcher::new(p, d, &Guard::unlimited()).unwrap()
     }
 
+    /// The answers of `p` on `d`, which must equal the naive oracle's: both
+    /// come back in document order.
+    fn agree(p: &TreePattern, d: &Document) -> Vec<DataNodeId> {
+        let answers = answer_set(p, d);
+        assert_eq!(answers, answer_set_naive(p, d, &Guard::unlimited()).unwrap(), "vs naive");
+        answers
+    }
+
+    fn check(q: &str, xml: &str) -> Vec<DataNodeId> {
+        let (p, d, _) = setup(q, xml);
+        agree(&p, &d)
+    }
+
     #[test]
     fn single_node_pattern_matches_every_node_of_type() {
         let (p, d, _) = setup("b*", "<a><b/><c><b/></c></a>");
-        let mut answers = answer_set(&p, &d);
-        answers.sort_unstable();
-        assert_eq!(answers.len(), 2);
+        assert_eq!(agree(&p, &d).len(), 2);
         assert!(build(&p, &d).matches());
     }
 
@@ -384,15 +467,14 @@ mod tests {
     fn c_edge_requires_direct_child() {
         let (p, d, _) = setup("a/b*", "<a><x><b/></x></a>");
         assert!(!build(&p, &d).matches());
-        let (p2, d2, _) = setup("a//b*", "<a><x><b/></x></a>");
-        assert_eq!(answer_set(&p2, &d2).len(), 1);
+        assert_eq!(check("a//b*", "<a><x><b/></x></a>").len(), 1);
     }
 
     #[test]
     fn answers_respect_ancestor_constraints() {
         // Only b nodes under an a count, not the stray one.
         let (p, d, _) = setup("a//b*", "<r><a><b/></a><b/></r>");
-        let answers = answer_set(&p, &d);
+        let answers = agree(&p, &d);
         assert_eq!(answers.len(), 1);
         // The answer is the b inside a (data node 2 in document order).
         assert_eq!(d.parent(answers[0]).map(|p| p.index()), Some(1));
@@ -400,7 +482,7 @@ mod tests {
 
     #[test]
     fn multi_branch_pattern() {
-        let (p, d, _) = setup(
+        let answers = check(
             "Dept*[//Manager][//DBProject]",
             "<Org>\
                <Dept><Manager/><DBProject/></Dept>\
@@ -408,7 +490,39 @@ mod tests {
                <Dept><DBProject/></Dept>\
              </Org>",
         );
-        assert_eq!(answer_set(&p, &d).len(), 1, "only the first Dept has both");
+        assert_eq!(answers.len(), 1, "only the first Dept has both");
+    }
+
+    #[test]
+    fn output_below_branching_nodes() {
+        // The output sits under a branch sibling; the top-down pass must
+        // respect satisfaction of the off-path branch.
+        let answers = check(
+            "Dept[//Manager]//Project*",
+            "<Org>\
+               <Dept><Manager/><Project/></Dept>\
+               <Dept><Project/></Dept>\
+             </Org>",
+        );
+        assert_eq!(answers.len(), 1);
+    }
+
+    #[test]
+    fn self_overlap_chains() {
+        // a//a and deeper chains: the same data node is a candidate of
+        // several pattern nodes, nested inside its own candidates.
+        assert!(check("a//a*", "<a/>").is_empty());
+        assert_eq!(check("a//a*", "<a><a/></a>").len(), 1);
+        assert_eq!(check("a//a*", "<a><a><a/></a></a>").len(), 2);
+        assert_eq!(check("a//a//a*", "<a><a><a><a/></a></a></a>").len(), 2);
+        assert_eq!(check("a/a*", "<a><a><a/></a></a>").len(), 2);
+        assert_eq!(check("a*//a", "<a><b><a/></b></a>").len(), 1);
+    }
+
+    #[test]
+    fn deep_output_chain() {
+        assert_eq!(check("a//b//c*", "<a><x><b><y><c/></y></b></x><c/></a>").len(), 1);
+        assert_eq!(check("a/b/c*", "<a><b><c/></b><c/></a>").len(), 1);
     }
 
     #[test]
@@ -422,6 +536,89 @@ mod tests {
         let m = build(&p, &d);
         assert_eq!(m.candidates(emp_node).len(), 1, "only the multi-typed node");
         assert!(m.matches());
+        assert_eq!(agree(&p, &d).len(), 1);
+    }
+
+    #[test]
+    fn value_conditions_filter_the_seed_list() {
+        let mut tys = TypeInterner::new();
+        let p = parse_pattern(r#"Book*{price<50}"#, &mut tys).unwrap();
+        let d = parse_xml(r#"<Shop><Book price="95"/><Book price="12"/><Book/></Shop>"#, &mut tys)
+            .unwrap();
+        assert_eq!(agree(&p, &d).len(), 1);
+    }
+
+    #[test]
+    fn wide_documents_with_interleaved_siblings() {
+        // Sibling subtrees interleave candidates of different pattern
+        // nodes, so the merge pointers skip whole subtrees.
+        let xml = "<r>\
+            <a><b/><c/></a><a><c/></a><b/><a><b><c/></b></a>\
+            <x><a><b/></a></x><c/>\
+        </r>";
+        for q in ["a*[//b]", "a*[/b][/c]", "r[//c]//a//b*", "a//c*"] {
+            check(q, xml);
+        }
+    }
+
+    #[test]
+    fn wide_pattern_over_sixty_four_children() {
+        // More than 64 children on one pattern node.
+        let mut tys = TypeInterner::new();
+        let n = 70;
+        let q: String =
+            std::iter::once("r*".to_owned()).chain((0..n).map(|i| format!("[//t{i}]"))).collect();
+        let p = parse_pattern(&q, &mut tys).unwrap();
+        let leaves: String = (0..n).map(|i| format!("<t{i}/>")).collect();
+        let d = parse_xml(&format!("<top><r>{leaves}</r><r><t0/></r></top>"), &mut tys).unwrap();
+        assert_eq!(agree(&p, &d).len(), 1);
+    }
+
+    #[test]
+    fn guard_budget_trips_to_err_not_wrong_answers() {
+        let (p, d, _) = setup("a//b*", "<a><b/><b/><b/><b/></a>");
+        let index = DocIndex::build(&d);
+        for guard in [Guard::with_budget(3), Guard::with_budget(9)] {
+            match Matcher::with_index(&p, &d, &index, &guard) {
+                Err(Error::Budget { .. }) => {}
+                Err(e) => panic!("expected a budget trip, got {e:?}"),
+                Ok(_) => panic!("expected a budget trip, got answers"),
+            }
+        }
+        let guard = Guard::with_budget(u64::MAX);
+        let answers = answer_set_twig_indexed(&p, &d, &index, &guard).unwrap();
+        assert_eq!(answers, agree(&p, &d));
+        assert!(guard.spent() > 9, "spent {}", guard.spent());
+    }
+
+    #[test]
+    fn indexed_entry_point_reuses_the_index() {
+        let (p, d, mut tys) = setup("a//b*", "<a><b/><c><b/></c></a>");
+        let index = DocIndex::build(&d);
+        let p2 = parse_pattern("c/b*", &mut tys).unwrap();
+        let g = Guard::unlimited();
+        for (q, want) in [(&p, 2), (&p2, 1)] {
+            let answers = answer_set_twig_indexed(q, &d, &index, &g).unwrap();
+            assert_eq!(answers.len(), want);
+            assert_eq!(answers, agree(q, &d));
+            assert_eq!(answer_set_twig(q, &d), answers);
+        }
+    }
+
+    #[test]
+    fn match_build_failpoint_injects() {
+        let (p, d, _) = setup("a*", "<a/>");
+        let index = DocIndex::build(&d);
+        let g = Guard::unlimited();
+        for indexed in [false, true] {
+            let _fp = failpoint::arm_for_thread("match.build", failpoint::Action::Err, 1);
+            let got = if indexed {
+                answer_set_twig_indexed(&p, &d, &index, &g)
+            } else {
+                Matcher::new(&p, &d, &g).map(|m| m.answers())
+            };
+            assert_eq!(got.unwrap_err(), Error::Injected { point: "match.build".into() });
+        }
     }
 
     #[test]
@@ -463,21 +660,20 @@ mod tests {
     fn descendant_is_proper_on_data_too() {
         let (p, d, _) = setup("a//a*", "<a/>");
         assert!(!build(&p, &d).matches());
-        let (p2, d2, _) = setup("a//a*", "<a><a/></a>");
-        assert_eq!(answer_set(&p2, &d2).len(), 1);
+        assert_eq!(check("a//a*", "<a><a/></a>").len(), 1);
     }
 
     #[test]
     fn pattern_root_floats_anywhere() {
-        let (p, d, _) = setup("b*/c", "<a><x><b><c/></b></x></a>");
-        assert_eq!(answer_set(&p, &d).len(), 1);
+        assert_eq!(check("b*/c", "<a><x><b><c/></b></x></a>").len(), 1);
     }
 
     #[test]
     fn no_match_empty_answers() {
         let (p, d, _) = setup("z*", "<a><b/></a>");
         assert!(!build(&p, &d).matches());
-        assert!(answer_set(&p, &d).is_empty());
+        assert!(agree(&p, &d).is_empty());
+        assert!(check("a/z*", "<a><b/></a>").is_empty());
         assert_eq!(build(&p, &d).count_embeddings(), 0);
     }
 

@@ -8,25 +8,23 @@
 //! The pattern root may land anywhere in the tree. The answer set is the
 //! set of data nodes bound to the output (`*`) node across all embeddings.
 //!
-//! Three evaluators are provided:
+//! Two evaluators are provided:
 //!
 //! * [`embed`] — the production evaluator: bottom-up candidate pruning
-//!   over a [`DocIndex`](tpq_data::DocIndex) (O(1) structural checks),
-//!   then a top-down feasibility pass; polynomial and exact, embedding
-//!   counts included;
-//! * [`twig`] — a holistic twig join: one document-order merge of one
-//!   stream per seed type (pattern nodes sharing their rarest type share
-//!   its list) with path stacks, O(depth × pattern) sweep memory instead of
-//!   per-node candidate vectors; returns the same answers as [`embed`];
+//!   over a [`DocIndex`](tpq_data::DocIndex), then a top-down feasibility
+//!   pass along the root→output path, both linear merges of ascending
+//!   pre-order ids; polynomial and exact, embedding counts included;
 //! * [`naive`] — exponential backtracking enumeration of embeddings, used
-//!   to cross-validate the other evaluators in tests.
+//!   to cross-validate the production evaluator in tests.
 //!
 //! Each evaluator has one guarded entry point that returns a `Result`
 //! (`Guard::unlimited()` for no limit): [`Matcher::new`],
-//! [`answer_set_twig_indexed`], [`answer_set_naive`] and
-//! [`count_embeddings_naive`]. [`answer_set`] and [`answer_set_twig`] are
-//! infallible conveniences over the first two; they panic only if the
-//! `match.build` failpoint is armed.
+//! [`answer_set_naive`] and [`count_embeddings_naive`].
+//! [`answer_set_twig_indexed`] runs the matcher over a caller-built index.
+//! [`answer_set`] is the infallible convenience over the first; it panics
+//! only if the `match.build` failpoint is armed. [`answer_set_twig`]
+//! equals it; it and [`answer_set_twig_indexed`] keep the names of the
+//! former twig-join engine.
 //!
 //! Matching cost grows with pattern size — which is the whole motivation
 //! for minimization; the ablation benches quantify it.
@@ -35,16 +33,14 @@
 
 pub mod embed;
 pub mod naive;
-pub mod twig;
 
-pub use embed::{answer_set, answer_set_forest, Matcher};
+pub use embed::{answer_set, answer_set_forest, answer_set_twig, answer_set_twig_indexed, Matcher};
 pub use naive::{answer_set_naive, count_embeddings_naive};
-pub use twig::{answer_set_twig, answer_set_twig_indexed};
 
 use std::borrow::Cow;
 use tpq_data::{DataNodeId, Document};
 
-/// `doc` with pre-order ids, which every interval test of the matchers
+/// `doc` with pre-order ids, which every interval test of the matcher
 /// needs: borrowed when the document already has them, else renumbered once,
 /// with the map back to the caller's ids. Parsed and repaired documents are
 /// always pre-ordered; hand-built ones from tests and generators may not be.
@@ -85,17 +81,6 @@ impl std::ops::Deref for PreOrdered<'_> {
     fn deref(&self) -> &Document {
         &self.doc
     }
-}
-
-/// `reach[j]`: one past the furthest subtree end among the ascending
-/// `nodes[..j]` (0 for none), so some node of that prefix is a proper
-/// ancestor of a `u` greater than all of them iff `reach[j] > u`.
-fn prefix_max_end(doc: &Document, nodes: &[DataNodeId]) -> Vec<u32> {
-    let mut reach = vec![0u32; nodes.len() + 1];
-    for (j, &p) in nodes.iter().enumerate() {
-        reach[j + 1] = reach[j].max(doc.subtree_end(p).0 + 1);
-    }
-    reach
 }
 
 /// Do two patterns produce the same answer set on `doc`? (Empirical

@@ -1,17 +1,18 @@
-//! Engine-agreement battery: the twig join, the embed matcher, and the
-//! naive backtracking enumerator must agree on the answer set of every
-//! random (pattern, document) pair — including multi-typed nodes, value
-//! conditions, and `a//a`-style self-overlapping patterns.
+//! Engine-agreement battery: the matcher and the naive backtracking
+//! enumerator must agree on the answer set of every random (pattern,
+//! document) pair — including multi-typed nodes, value conditions, and
+//! `a//a`-style self-overlapping patterns.
 //!
-//! Twig and embed must agree *byte-identically* (both return document order);
-//! naive returns id order, so it is compared as a sorted set.
+//! The matcher returns document order and naive id order, so they are
+//! compared as sorted sets (the two orders coincide on pre-ordered
+//! documents).
 //!
-//! Further batteries cover the twig join's shared streams: pattern nodes
-//! with the same seed type read one type list together.
+//! Further batteries cover pattern nodes that share a seed type (the
+//! rarest of their types) and so read one type list.
 
 use tpq_base::{Cmp, Error, Guard, SmallRng, TypeId, TypeInterner, Value};
 use tpq_data::{generate_document, DataNodeId, DocIndex, Document, DocumentSpec};
-use tpq_match::{answer_set, answer_set_naive, answer_set_twig, answer_set_twig_indexed, Matcher};
+use tpq_match::{answer_set, answer_set_naive, answer_set_twig_indexed, Matcher};
 use tpq_pattern::{parse_pattern, Condition, TreePattern};
 use tpq_workload::{random_pattern, redundancy_query, PatternSpec, RedundancySpec};
 
@@ -21,7 +22,7 @@ fn prob(rng: &mut SmallRng) -> f64 {
 }
 
 /// Sprinkle value conditions over a random pattern and matching attribute
-/// values over the document, so the condition-filtering paths of all three
+/// values over the document, so the condition-filtering paths of both
 /// engines are exercised (the generators alone emit neither).
 fn decorate(pattern: &mut TreePattern, doc: &mut Document, num_types: usize, rng: &mut SmallRng) {
     let attr = TypeId(num_types as u32); // one id past the type universe
@@ -50,24 +51,19 @@ fn decorate(pattern: &mut TreePattern, doc: &mut Document, num_types: usize, rng
     }
 }
 
-/// Assert all three engines agree on one pair; returns the answer count.
+/// Assert both engines agree on one pair; returns the answer count.
 /// The naive enumerator walks every embedding, which explodes on dense
 /// self-overlapping pairs — it runs under a budget and is skipped (not
-/// failed) when that trips; twig vs embed always runs to completion.
+/// failed) when that trips.
 fn agree(pattern: &TreePattern, doc: &Document, ctx: &str) -> usize {
-    let twig = answer_set_twig(pattern, doc);
-    let embed = answer_set(pattern, doc);
-    assert_eq!(twig, embed, "{ctx}: twig vs embed (order-sensitive)");
+    let mut answers = answer_set(pattern, doc);
+    answers.sort_unstable();
     match answer_set_naive(pattern, doc, &Guard::with_budget(2_000_000)) {
-        Ok(naive) => {
-            let mut sorted = twig.clone();
-            sorted.sort_unstable();
-            assert_eq!(sorted, naive, "{ctx}: twig vs naive (as sets)");
-        }
+        Ok(naive) => assert_eq!(answers, naive, "{ctx}: matcher vs naive (as sets)"),
         Err(Error::Budget { .. }) => {} // embedding count blew up; skip oracle
         Err(e) => panic!("{ctx}: naive failed unexpectedly: {e:?}"),
     }
-    twig.len()
+    answers.len()
 }
 
 #[test]
@@ -116,7 +112,7 @@ fn guarded_engines_trip_to_err_not_wrong_answers() {
             seed: seed + 999,
             ..DocumentSpec::default()
         });
-        let full = answer_set_twig(&pattern, &doc);
+        let full = answer_set(&pattern, &doc);
         let index = DocIndex::build(&doc);
         // A budget far below the work either trips or — only if the true
         // workload was tiny — returns the exact full answer.
@@ -131,12 +127,10 @@ fn guarded_engines_trip_to_err_not_wrong_answers() {
             match answer_set_naive(&pattern, &doc, &Guard::with_budget(budget)) {
                 Err(Error::Budget { .. }) => {}
                 Ok(ans) => {
-                    let mut sorted = full.clone();
-                    sorted.sort_unstable();
                     assert_eq!(
-                        ans, sorted,
+                        ans, full,
                         "seed {seed} budget {budget}: naive partial answers leaked"
-                    );
+                    )
                 }
                 Err(e) => panic!("seed {seed} budget {budget}: unexpected error {e:?}"),
             }
@@ -145,9 +139,9 @@ fn guarded_engines_trip_to_err_not_wrong_answers() {
 }
 
 #[test]
-fn indexed_twig_agrees_with_matcher_across_queries_on_one_doc() {
-    // The entry point over a caller-built index (what the benchmark's
-    // layer replay times) must match a fresh Matcher per query.
+fn indexed_matcher_agrees_with_a_fresh_one_across_queries_on_one_doc() {
+    // The matcher over a caller-built index (what the benchmark's layer
+    // replay times) must match a fresh Matcher per query.
     let doc = generate_document(&DocumentSpec {
         nodes: 300,
         num_types: 4,
@@ -159,9 +153,9 @@ fn indexed_twig_agrees_with_matcher_across_queries_on_one_doc() {
     for seed in 0..40u64 {
         let pattern =
             random_pattern(&PatternSpec { nodes: 5, num_types: 4, seed, ..PatternSpec::default() });
-        let twig = answer_set_twig_indexed(&pattern, &doc, &index, &guard).unwrap();
-        let embed = Matcher::new(&pattern, &doc, &guard).unwrap().answers();
-        assert_eq!(twig, embed, "seed {seed}");
+        let indexed = answer_set_twig_indexed(&pattern, &doc, &index, &guard).unwrap();
+        let fresh = Matcher::new(&pattern, &doc, &guard).unwrap().answers();
+        assert_eq!(indexed, fresh, "seed {seed}");
     }
 }
 
@@ -284,14 +278,13 @@ fn raw_figure7_queries_with_sixteen_redundant_leaves_agree() {
         let mut tys = raw.types.clone();
         let doc = sections_document(&mut tys, raw.filler_types.len(), 60);
         assert_eq!(tys.len(), raw.types.len(), "the document reuses the query's type ids");
-        let twig = answer_set_twig(&raw.pattern, &doc);
-        assert_eq!(twig, answer_set(&raw.pattern, &doc), "degree {degree}: twig vs embed");
-        assert_eq!(twig, answer_set_twig(&core.pattern, &doc), "degree {degree}: raw vs core");
-        let mut sorted = twig.clone();
+        let raw_answers = answer_set(&raw.pattern, &doc);
+        assert_eq!(raw_answers, answer_set(&core.pattern, &doc), "degree {degree}: raw vs core");
+        let mut sorted = raw_answers.clone();
         sorted.sort_unstable();
         let naive = answer_set_naive(&core.pattern, &doc, &Guard::unlimited()).unwrap();
         assert_eq!(sorted, naive, "degree {degree}: vs naive");
-        assert!(!twig.is_empty(), "degree {degree}: no section matched");
+        assert!(!raw_answers.is_empty(), "degree {degree}: no section matched");
     }
 }
 
@@ -338,12 +331,12 @@ fn documents_built_out_of_document_order_answer_in_the_callers_ids() {
         let back = |answers: Vec<DataNodeId>| -> Vec<DataNodeId> {
             answers.into_iter().map(|u| caller[u.index()]).collect()
         };
-        let twig = answer_set_twig(&pattern, &doc);
-        assert_eq!(twig, back(answer_set_twig(&pattern, &pre)), "{ctx}: twig vs renumbered");
+        let answers = answer_set(&pattern, &doc);
+        assert_eq!(answers, back(answer_set(&pattern, &pre)), "{ctx}: vs renumbered");
         let guard = Guard::unlimited();
-        let indexed =
-            answer_set_twig_indexed(&pattern, &doc, &DocIndex::build(&doc), &guard).unwrap();
-        assert_eq!(indexed, twig, "{ctx}: indexed twig on the out-of-order document");
+        let index = DocIndex::build(&doc);
+        let indexed = answer_set_twig_indexed(&pattern, &doc, &index, &guard).unwrap();
+        assert_eq!(indexed, answers, "{ctx}: indexed on the out-of-order document");
         let m = Matcher::new(&pattern, &doc, &guard).unwrap();
         let on_pre = Matcher::new(&pattern, &pre, &guard).unwrap();
         assert_eq!(m.count_embeddings(), on_pre.count_embeddings(), "{ctx}: counts");
@@ -358,4 +351,43 @@ fn documents_built_out_of_document_order_answer_in_the_callers_ids() {
     }
     assert!(out_of_order >= 40, "only {out_of_order}/60 documents were out of order");
     assert!(nonempty >= 20, "only {nonempty}/60 pairs had answers");
+}
+
+#[test]
+fn deep_chain_with_mixed_edges_agrees() {
+    // A 10k-deep chain of mostly `f` nodes with rare `a`, `b` and `c`, and
+    // an `s` (now and then a `c`) leaf beside every third chain node.
+    // Candidates nest thousands deep and subtree ends vary, so each merge
+    // pointer must step over long runs; rare types everywhere but at the
+    // output keep naive, which scans the document per binding, within its
+    // budget.
+    let mut tys = TypeInterner::new();
+    let [a, b, c, f, s] = ["a", "b", "c", "f", "s"].map(|t| tys.intern(t));
+    let depth = 10_000u32;
+    let ty = |i: u32| match (i % 1000, i % 700) {
+        (0, _) => a,
+        (1, _) => b,
+        (_, 3) => c,
+        _ => f,
+    };
+    let mut doc = Document::new(ty(0));
+    let mut cur = doc.root();
+    for i in 1..depth {
+        if i % 3 == 0 {
+            doc.add_child(cur, if i % 300 == 0 { c } else { s });
+        }
+        cur = doc.add_child(cur, ty(i));
+    }
+    assert!(doc.is_pre_order());
+    let mut total = 0;
+    for q in ["a//b//f*", "a//b//s*", "a/b//c*", "a//b/c*", "a*[/b]//c", "c//a/b*", "a[/b]//a*//c"]
+    {
+        let pattern = parse_pattern(q, &mut tys).unwrap();
+        let answers = answer_set(&pattern, &doc);
+        let naive = answer_set_naive(&pattern, &doc, &Guard::with_budget(20_000_000))
+            .unwrap_or_else(|e| panic!("{q}: naive did not finish: {e}"));
+        assert_eq!(answers, naive, "{q}");
+        total += answers.len();
+    }
+    assert!(total > 1000, "only {total} answers: the chain stopped matching");
 }

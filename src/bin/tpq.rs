@@ -9,7 +9,7 @@
 //! tpq --metrics-json out.json minimize 'a*[/b][/b/c]'
 //! tpq explain  'Articles[/Article//Paragraph]/Article*//Section//Paragraph' --ic 'Section ->> Paragraph'
 //! tpq match    'Dept*//Manager' org.xml
-//! tpq match    --query 'Dept*//Manager' --doc org.xml --engine embed
+//! tpq match    --query 'Dept*//Manager' --doc org.xml --engine naive
 //! tpq check    --q1 'a*[/b]' --q2 'a*' --ic 'a -> b'
 //! tpq closure  --constraints ics.txt
 //! tpq repair   --doc org.xml --constraints ics.txt
@@ -63,11 +63,10 @@
 //! quantiles, and the slowest recent requests; `--once` prints a single
 //! plain frame for scripts (see `docs/SERVING.md`).
 
+use std::io::Write as _;
 use std::process::ExitCode;
 use tpq::constraints::Schema;
 use tpq::core::{minimize_closed_guarded, Strategy};
-use tpq::data::DocIndex;
-use tpq::matching::answer_set_twig_indexed;
 use tpq::prelude::*;
 
 fn main() -> ExitCode {
@@ -227,6 +226,13 @@ fn read_file(path: &str) -> Result2<String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
+/// Parse the XML document at `path`, streamed from disk, so documents need
+/// not fit in one contiguous `String`.
+fn read_document(path: &str, types: &mut TypeInterner) -> Result2<Document> {
+    let file = std::fs::File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    parse_xml_reader(std::io::BufReader::new(file), types).map_err(|e| e.to_string())
+}
+
 fn parse_query(opts: &Opts, types: &mut TypeInterner) -> Result2<TreePattern> {
     if let Some(x) = opts.get("xpath") {
         return tpq::pattern::parse_xpath(x, types).map_err(|e| e.to_string());
@@ -347,11 +353,19 @@ fn cmd_minimize(args: &[String]) -> Result2<()> {
         let ics = gather_constraints(&opts, &mut types)?;
         let engine = tpq::core::BatchMinimizer::with_strategy(&ics, strategy);
         let out = engine.minimize_batch_guarded(&queries, jobs, &guard);
-        match write_batch_results(&out.results, &types) {
-            Ok(()) => {}
-            // The reader went away (`… | head`): nobody is left to tell.
-            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => return Ok(()),
-            Err(e) => return Err(format!("cannot write results: {e}")),
+        // One stdout line per query, in input order: failed slots print a
+        // commented placeholder so the output stays parallel to the input.
+        let written = write_stdout(|w| {
+            for r in &out.results {
+                match r {
+                    Ok(m) => writeln!(w, "{}", to_dsl(m, &types))?,
+                    Err(e) => writeln!(w, "# error: {e}")?,
+                }
+            }
+            Ok(())
+        })?;
+        if !written {
+            return Ok(());
         }
         if opts.flag("stats") {
             let s = &out.stats;
@@ -393,22 +407,19 @@ fn cmd_minimize(args: &[String]) -> Result2<()> {
     Ok(())
 }
 
-/// One stdout line per batch query, in input order, through one locked
-/// buffered writer: failed slots print a commented placeholder so the
-/// output stays parallel to the input.
-fn write_batch_results(
-    results: &[Result<std::sync::Arc<TreePattern>>],
-    types: &TypeInterner,
-) -> std::io::Result<()> {
-    use std::io::Write;
+/// Run `body` over stdout through one locked buffered writer. Returns
+/// `Ok(false)` when the reader went away (`… | head`): nobody is left to
+/// tell, so the command ends quietly. Any other write error is a CLI
+/// error.
+fn write_stdout(
+    body: impl FnOnce(&mut std::io::BufWriter<std::io::StdoutLock<'static>>) -> std::io::Result<()>,
+) -> Result2<bool> {
     let mut out = std::io::BufWriter::new(std::io::stdout().lock());
-    for r in results {
-        match r {
-            Ok(m) => writeln!(out, "{}", to_dsl(m, types))?,
-            Err(e) => writeln!(out, "# error: {e}")?,
-        }
+    match body(&mut out).and_then(|()| out.flush()) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(false),
+        Err(e) => Err(format!("cannot write results: {e}")),
     }
-    out.flush()
 }
 
 /// `tpq explain`: minimize once with decision-event capture on and print,
@@ -489,8 +500,7 @@ fn cmd_match(args: &[String]) -> Result2<()> {
     let mut types = TypeInterner::new();
     let query = parse_query(&opts, &mut types)?;
     // The document: `--doc <file>`, or the positional after the query
-    // (`tpq match '<query>' doc.xml`). Streamed from disk, so documents
-    // need not fit in one contiguous String.
+    // (`tpq match '<query>' doc.xml`).
     let inline_query = opts.get("query").is_none() && opts.get("xpath").is_none();
     let doc_path = match opts.get("doc") {
         Some(p) => p,
@@ -500,49 +510,44 @@ fn cmd_match(args: &[String]) -> Result2<()> {
             .map(String::as_str)
             .ok_or("--doc is required (or pass the document file after the query)")?,
     };
-    let file = std::fs::File::open(doc_path).map_err(|e| format!("cannot read {doc_path}: {e}"))?;
-    let doc =
-        parse_xml_reader(std::io::BufReader::new(file), &mut types).map_err(|e| e.to_string())?;
-    let engine = opts.get("engine").unwrap_or("twig");
+    let doc = read_document(doc_path, &mut types)?;
+    let engine = opts.get("engine").unwrap_or("embed");
     let guard = Guard::unlimited();
     if opts.flag("count") {
         let n = match engine {
             "naive" => count_embeddings_naive(&query, &doc, &guard),
-            "twig" | "embed" => Matcher::new(&query, &doc, &guard).map(|m| m.count_embeddings()),
-            other => return Err(format!("unknown engine '{other}' (twig|embed|naive)")),
+            "embed" => Matcher::new(&query, &doc, &guard).map(|m| m.count_embeddings()),
+            other => return Err(format!("unknown engine '{other}' (embed|naive)")),
         }
         .map_err(|e| e.to_string())?;
-        println!("{n}");
+        write_stdout(|w| writeln!(w, "{n}"))?;
         return Ok(());
     }
     let mut answers = match engine {
-        "twig" => {
-            let index = {
-                let _s = tpq::obs::span!("twig.index");
-                DocIndex::build(&doc)
-            };
-            answer_set_twig_indexed(&query, &doc, &index, &guard)
-        }
         "embed" => Matcher::new(&query, &doc, &guard).map(|m| m.answers()),
         "naive" => answer_set_naive(&query, &doc, &guard),
-        other => return Err(format!("unknown engine '{other}' (twig|embed|naive)")),
+        other => return Err(format!("unknown engine '{other}' (embed|naive)")),
     }
     .map_err(|e| e.to_string())?;
     // Print in id order, which is document order for a parsed document,
     // so output is engine-independent and diff-able.
     answers.sort_unstable();
-    println!("{} answer(s)", answers.len());
-    for a in answers {
-        // Print the path from the root to the answer node.
+    write_stdout(|w| {
+        writeln!(w, "{} answer(s)", answers.len())?;
         let mut path = Vec::new();
-        let mut cur = Some(a);
-        while let Some(n) = cur {
-            path.push(types.name(doc.primary(n)).to_owned());
-            cur = doc.parent(n);
+        for &a in &answers {
+            // Print the path from the root to the answer node.
+            path.clear();
+            let mut cur = Some(a);
+            while let Some(n) = cur {
+                path.push(types.name(doc.primary(n)));
+                cur = doc.parent(n);
+            }
+            path.reverse();
+            writeln!(w, "  /{} (node {})", path.join("/"), a.0)?;
         }
-        path.reverse();
-        println!("  /{} (node {})", path.join("/"), a.0);
-    }
+        Ok(())
+    })?;
     Ok(())
 }
 
@@ -830,11 +835,11 @@ fn cmd_repair(args: &[String]) -> Result2<()> {
     let opts = Opts::parse(args, &[], &[&CONSTRAINT_OPTS[..], &["doc"]].concat())?;
     opts.no_positionals()?;
     let mut types = TypeInterner::new();
-    let doc =
-        parse_xml(&read_file(opts.require("doc")?)?, &mut types).map_err(|e| e.to_string())?;
+    let doc = read_document(opts.require("doc")?, &mut types)?;
     let ics = gather_constraints(&opts, &mut types)?.closure();
     let fixed = tpq::constraints::repair(&doc, &ics).map_err(|e| e.to_string())?;
-    print!("{}", tpq::data::write_xml(&fixed, &types));
-    eprintln!("{} -> {} nodes", doc.len(), fixed.len());
+    if write_stdout(|w| tpq::data::write_xml_to(&fixed, &types, w))? {
+        eprintln!("{} -> {} nodes", doc.len(), fixed.len());
+    }
     Ok(())
 }

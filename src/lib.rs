@@ -50,9 +50,7 @@ pub mod prelude {
         MinimizeOutcome, MinimizeStats,
     };
     pub use tpq_data::{parse_xml, parse_xml_reader, Document, Forest};
-    pub use tpq_match::{
-        answer_set, answer_set_naive, answer_set_twig, count_embeddings_naive, Matcher,
-    };
+    pub use tpq_match::{answer_set, answer_set_naive, count_embeddings_naive, Matcher};
     pub use tpq_pattern::print::{to_dsl, to_tree_string};
     pub use tpq_pattern::{
         entails, isomorphic, parse_pattern, parse_xpath, Condition, EdgeKind, NodeId, TreePattern,

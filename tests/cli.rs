@@ -86,17 +86,21 @@ fn match_takes_positional_doc_and_engines_agree() {
         temp_file("engines.xml", "<Root><Dept><Manager/><Dept><Manager/></Dept></Dept></Root>");
     let path = doc.to_str().unwrap();
     let mut outputs = Vec::new();
-    for engine in ["twig", "embed", "naive"] {
-        let out = tpq(&["match", "Dept*//Manager", path, "--engine", engine]);
-        assert!(out.status.success(), "{engine}: {}", stderr(&out));
+    for engine in [&[][..], &["--engine", "embed"], &["--engine", "naive"]] {
+        let out = tpq(&[&["match", "Dept*//Manager", path][..], engine].concat());
+        assert!(out.status.success(), "{engine:?}: {}", stderr(&out));
         outputs.push(stdout(&out));
     }
     assert!(outputs[0].contains("2 answer(s)"), "{}", outputs[0]);
-    assert_eq!(outputs[0], outputs[1], "twig vs embed output");
-    assert_eq!(outputs[0], outputs[2], "twig vs naive output");
-    let out = tpq(&["match", "Dept*//Manager", path, "--engine", "bogus"]);
-    assert!(!out.status.success());
-    assert!(stderr(&out).contains("unknown engine"), "{}", stderr(&out));
+    assert_eq!(outputs[0], outputs[1], "default vs embed output");
+    assert_eq!(outputs[0], outputs[2], "embed vs naive output");
+    // The twig join is gone: its name is an unknown engine like any other.
+    for engine in ["bogus", "twig"] {
+        let out = tpq(&["match", "Dept*//Manager", path, "--engine", engine]);
+        assert!(!out.status.success());
+        let err = stderr(&out);
+        assert!(err.contains(&format!("unknown engine '{engine}' (embed|naive)")), "{err}");
+    }
 }
 
 #[test]
@@ -179,13 +183,13 @@ fn large_batch(name: &str) -> std::path::PathBuf {
     temp_file(name, &"Book*[/Title][/Publisher]\n".repeat(20_000))
 }
 
-#[test]
-fn batch_output_into_a_closed_pipe_exits_quietly() {
+/// Run `tpq args`, read the first line of its output, then close the pipe
+/// while the writer is still writing. Returns that line and the outcome.
+fn into_closed_pipe(args: &[&str]) -> (String, Output) {
     use std::io::BufRead as _;
     use std::process::Stdio;
-    let queries = large_batch("broken-pipe.txt");
     let mut child = Command::new(env!("CARGO_BIN_EXE_tpq"))
-        .args(["minimize", "--batch", queries.to_str().unwrap(), "--ic", "Book -> Publisher"])
+        .args(args)
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -193,27 +197,131 @@ fn batch_output_into_a_closed_pipe_exits_quietly() {
     // `| head -1`: read one line, then close the pipe.
     let mut first = String::new();
     std::io::BufReader::new(child.stdout.take().unwrap()).read_line(&mut first).unwrap();
-    assert_eq!(first, "Book*/Title\n");
-    let out = child.wait_with_output().expect("binary exits");
-    let err = stderr(&out);
+    (first, child.wait_with_output().expect("binary exits"))
+}
+
+/// Run `tpq args` with stdout on `/dev/full`.
+#[cfg(target_os = "linux")]
+fn into_a_full_device(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_tpq"))
+        .args(args)
+        .stdout(std::fs::File::create("/dev/full").expect("/dev/full opens"))
+        .output()
+        .expect("binary runs")
+}
+
+/// A closed pipe ends the command quietly; a failed write is a CLI error.
+fn assert_quiet_exit(out: &Output) {
+    let err = stderr(out);
     assert!(!err.contains("panicked"), "{err}");
     assert_ne!(out.status.code(), Some(101), "{err}");
     assert!(out.status.success(), "a vanished reader is not an error: {err}");
 }
 
 #[cfg(target_os = "linux")]
-#[test]
-fn batch_write_failure_is_a_clean_cli_error() {
-    let queries = large_batch("full-device.txt");
-    let out = Command::new(env!("CARGO_BIN_EXE_tpq"))
-        .args(["minimize", "--batch", queries.to_str().unwrap(), "--ic", "Book -> Publisher"])
-        .stdout(std::fs::File::create("/dev/full").expect("/dev/full opens"))
-        .output()
-        .expect("binary runs");
-    let err = stderr(&out);
+fn assert_write_error(out: &Output) {
+    let err = stderr(out);
     assert_eq!(out.status.code(), Some(1), "{err}");
     assert!(err.contains("error: cannot write results"), "{err}");
     assert!(!err.contains("panicked"), "{err}");
+}
+
+#[test]
+fn batch_output_into_a_closed_pipe_exits_quietly() {
+    let queries = large_batch("broken-pipe.txt");
+    let (first, out) = into_closed_pipe(&[
+        "minimize",
+        "--batch",
+        queries.to_str().unwrap(),
+        "--ic",
+        "Book -> Publisher",
+    ]);
+    assert_eq!(first, "Book*/Title\n");
+    assert_quiet_exit(&out);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn batch_write_failure_is_a_clean_cli_error() {
+    let queries = large_batch("full-device.txt");
+    let out = into_a_full_device(&[
+        "minimize",
+        "--batch",
+        queries.to_str().unwrap(),
+        "--ic",
+        "Book -> Publisher",
+    ]);
+    assert_write_error(&out);
+}
+
+/// A document whose `match 'b*'` answers (about 500 KB) and repaired XML
+/// (about 300 KB) overflow any pipe buffer.
+fn large_document(name: &str) -> std::path::PathBuf {
+    temp_file(name, &format!("<a>{}</a>", "<b/>".repeat(20_000)))
+}
+
+#[test]
+fn match_and_repair_into_a_closed_pipe_exit_quietly() {
+    let doc = large_document("broken-pipe.xml");
+    let doc = doc.to_str().unwrap();
+    let (first, out) = into_closed_pipe(&["match", "b*", doc]);
+    assert_eq!(first, "20000 answer(s)\n");
+    assert_quiet_exit(&out);
+    let (first, out) = into_closed_pipe(&["repair", "--doc", doc, "--ic", "b -> c"]);
+    assert_eq!(first, "<a>\n");
+    assert_quiet_exit(&out);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn match_and_repair_write_failures_are_clean_cli_errors() {
+    let doc = large_document("full-device.xml");
+    let doc = doc.to_str().unwrap();
+    assert_write_error(&into_a_full_device(&["match", "b*", doc]));
+    assert_write_error(&into_a_full_device(&["match", "b*", doc, "--count"]));
+    assert_write_error(&into_a_full_device(&["repair", "--doc", doc, "--ic", "b -> c"]));
+}
+
+#[test]
+fn repair_streams_the_same_bytes_as_the_in_memory_writer() {
+    // `tpq repair` reads and writes the document streamed; its output must
+    // equal the in-memory round trip byte for byte. The documents are the
+    // `xml_catalog` example's catalog, a repaired golden of CI's smoke step
+    // and a generated document with attributes.
+    use tpq::constraints::repair;
+    use tpq::data::{stream_xml_to, write_xml, XmlStreamSpec};
+    let catalog = "<Articles><Article><Title/><Section><Paragraph/></Section></Article>\
+        <Article><Title/><Section><Paragraph/><Section><Paragraph/></Section></Section></Article>\
+        <Article><Title/></Article></Articles>";
+    let org = r#"<Org><Dept><Manager pid="1"/><DBProject/><Dept><Manager/></Dept></Dept><Dept><DBProject/></Dept></Org>"#;
+    let mut generated = Vec::new();
+    stream_xml_to(
+        &XmlStreamSpec { nodes: 400, seed: 3, ..XmlStreamSpec::default() },
+        &mut generated,
+    )
+    .unwrap();
+    let generated = String::from_utf8(generated).unwrap();
+    for (name, xml, ics) in [
+        ("catalog", catalog, "Article -> Title\nArticle ->> Paragraph\nSection ->> Paragraph\n"),
+        ("org", org, "Dept -> Manager\nDept -> Budget\n"),
+        ("generated", &generated, "t0 -> t1\nt1 ->> t2\nt2 ~ t3\n"),
+    ] {
+        let doc = temp_file(&format!("repair-{name}.xml"), xml);
+        let ics_file = temp_file(&format!("repair-{name}.ics"), ics);
+        let out = tpq(&[
+            "repair",
+            "--doc",
+            doc.to_str().unwrap(),
+            "--constraints",
+            ics_file.to_str().unwrap(),
+        ]);
+        assert!(out.status.success(), "{name}: {}", stderr(&out));
+        let mut types = tpq::prelude::TypeInterner::new();
+        let parsed = tpq::prelude::parse_xml(xml, &mut types).unwrap();
+        let closed = tpq::prelude::parse_constraints(ics, &mut types).unwrap().closure();
+        let want = write_xml(&repair(&parsed, &closed).unwrap(), &types);
+        assert_eq!(stdout(&out), want, "{name}");
+    }
 }
 
 /// A heavy spine query: quadratic table builds make it far slower than a
@@ -320,7 +428,7 @@ fn failpoint_env_injects_a_deterministic_fault() {
     // error, not as a panic.
     let doc = temp_file("fp-org.xml", "<Dept><Manager/></Dept>");
     let doc = doc.to_str().unwrap();
-    for extra in [&["--engine", "twig"][..], &["--engine", "embed"], &["--count"]] {
+    for extra in [&[][..], &["--engine", "embed"], &["--count"]] {
         let out = Command::new(env!("CARGO_BIN_EXE_tpq"))
             .args(["match", "Dept*//Manager", doc])
             .args(extra)
