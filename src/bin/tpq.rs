@@ -26,6 +26,11 @@
 //! (`--schema`); sources combine. Each subcommand rejects an option it
 //! does not read with `unknown option --<name>`.
 //!
+//! `minimize`, `explain`, `match`, `check`, `closure` and `repair` write
+//! their results through one locked buffered writer: a reader that closes
+//! the pipe early (`| head -1`) ends the command quietly, and any other
+//! write error is `error: cannot write results: …` with exit code 1.
+//!
 //! Observability (may appear anywhere on the command line):
 //!
 //! * `--trace` — print a flame-style span/counter report to stderr;
@@ -63,6 +68,7 @@
 //! quantiles, and the slowest recent requests; `--once` prints a single
 //! plain frame for scripts (see `docs/SERVING.md`).
 
+use std::collections::hash_map::Entry;
 use std::io::Write as _;
 use std::process::ExitCode;
 use tpq::constraints::Schema;
@@ -263,10 +269,23 @@ fn gather_constraints(opts: &Opts, types: &mut TypeInterner) -> Result2<Constrai
     Ok(set)
 }
 
+/// Batch queries folded by text: each distinct line's pattern once, in
+/// first-occurrence order, and the index into `patterns` of every input
+/// line, in input order.
+struct BatchQueries {
+    patterns: Vec<TreePattern>,
+    slots: Vec<usize>,
+}
+
 /// Load batch queries from `path`: either one file with one DSL query per
 /// line (blank lines and `#` comments skipped), or a directory whose
 /// `.txt` files are read in sorted-name order.
-fn read_batch_queries(path: &str, types: &mut TypeInterner) -> Result2<Vec<TreePattern>> {
+///
+/// Each trimmed line costs one hash probe on its text; only the first
+/// occurrence of a text is parsed, so a repeat costs neither a parse nor
+/// a pattern. A malformed line fails the whole load at its first
+/// occurrence's `file:line`.
+fn read_batch_queries(path: &str, types: &mut TypeInterner) -> Result2<BatchQueries> {
     let mut files: Vec<std::path::PathBuf> = Vec::new();
     if std::fs::metadata(path).map_err(|e| format!("cannot read {path}: {e}"))?.is_dir() {
         for entry in std::fs::read_dir(path).map_err(|e| format!("cannot read {path}: {e}"))? {
@@ -283,20 +302,29 @@ fn read_batch_queries(path: &str, types: &mut TypeInterner) -> Result2<Vec<TreeP
     } else {
         files.push(path.into());
     }
-    let mut queries = Vec::new();
-    for file in &files {
-        let text = read_file(&file.display().to_string())?;
+    let texts =
+        files.iter().map(|f| read_file(&f.display().to_string())).collect::<Result2<Vec<_>>>()?;
+    let mut batch = BatchQueries { patterns: Vec::new(), slots: Vec::new() };
+    let mut seen: tpq::base::FxHashMap<&str, usize> = tpq::base::FxHashMap::default();
+    for (file, text) in files.iter().zip(&texts) {
         for (lineno, line) in text.lines().enumerate() {
             let line = line.trim();
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            let q = parse_pattern(line, types)
-                .map_err(|e| format!("{}:{}: {e}", file.display(), lineno + 1))?;
-            queries.push(q);
+            let slot = match seen.entry(line) {
+                Entry::Occupied(e) => *e.get(),
+                Entry::Vacant(e) => {
+                    let q = parse_pattern(line, types)
+                        .map_err(|e| format!("{}:{}: {e}", file.display(), lineno + 1))?;
+                    batch.patterns.push(q);
+                    *e.insert(batch.patterns.len() - 1)
+                }
+            };
+            batch.slots.push(slot);
         }
     }
-    Ok(queries)
+    Ok(batch)
 }
 
 /// Build a [`Guard`] from `--deadline-ms` / `--budget`; with neither flag
@@ -336,9 +364,10 @@ fn cmd_minimize(args: &[String]) -> Result2<()> {
     let mut types = TypeInterner::new();
     let strategy = opts.get("strategy").unwrap_or_default().parse::<Strategy>()?;
     // Batch mode: one query per line from a file (or every `.txt` file in
-    // a directory), minimized by the parallel batch engine: the constraint
-    // closure is computed once, isomorphic queries are minimized once via
-    // the canonical-key memo cache, and the unique remainder fans out over
+    // a directory), minimized by the parallel batch engine: verbatim
+    // repeats are folded by text before parsing, the constraint closure is
+    // computed once, isomorphic queries are minimized once via the
+    // canonical-key memo cache, and the unique remainder fans out over
     // `--jobs` worker threads. Output order always matches input order.
     if let Some(path) = opts.get("batch") {
         let jobs = match opts.get("jobs") {
@@ -349,35 +378,47 @@ fn cmd_minimize(args: &[String]) -> Result2<()> {
             },
         };
         let guard = parse_guard(&opts)?;
-        let queries = read_batch_queries(path, &mut types)?;
+        let batch = read_batch_queries(path, &mut types)?;
         let ics = gather_constraints(&opts, &mut types)?;
         let engine = tpq::core::BatchMinimizer::with_strategy(&ics, strategy);
-        let out = engine.minimize_batch_guarded(&queries, jobs, &guard);
-        // One stdout line per query, in input order: failed slots print a
-        // commented placeholder so the output stays parallel to the input.
+        let out = engine.minimize_batch_guarded(&batch.patterns, jobs, &guard);
+        // The engine saw each distinct line once; count per input line, a
+        // textual repeat being a cache hit.
+        let folded = (batch.slots.len() - batch.patterns.len()) as u64;
+        tpq::obs::incr("batch.cache.hit", folded);
+        let s = tpq::core::BatchStats {
+            queries: batch.slots.len(),
+            cache_hits: out.stats.cache_hits + folded,
+            failed: batch.slots.iter().filter(|&&slot| out.results[slot].is_err()).count(),
+            ..out.stats
+        };
+        // Render each distinct query's line once; every input line then
+        // writes its slot's line, so stdout stays parallel to the input.
+        // Failed slots print a commented placeholder.
+        let lines: Vec<String> = out
+            .results
+            .iter()
+            .map(|r| match r {
+                Ok(m) => to_dsl(m, &types) + "\n",
+                Err(e) => format!("# error: {e}\n"),
+            })
+            .collect();
         let written = write_stdout(|w| {
-            for r in &out.results {
-                match r {
-                    Ok(m) => writeln!(w, "{}", to_dsl(m, &types))?,
-                    Err(e) => writeln!(w, "# error: {e}")?,
-                }
-            }
-            Ok(())
+            batch.slots.iter().try_for_each(|&slot| w.write_all(lines[slot].as_bytes()))
         })?;
         if !written {
             return Ok(());
         }
         if opts.flag("stats") {
-            let s = &out.stats;
             eprintln!(
                 "{} queries ({} unique) | cache {} hit / {} miss | {} workers, {} steals | {} failed | {:?}",
                 s.queries, s.unique, s.cache_hits, s.cache_misses, s.workers, s.steals, s.failed, s.wall_time,
             );
         }
-        if out.stats.failed > 0 {
+        if s.failed > 0 {
             return Err(format!(
                 "{} of {} queries failed (see '# error' lines above)",
-                out.stats.failed, out.stats.queries
+                s.failed, s.queries
             ));
         }
         return Ok(());
@@ -387,7 +428,9 @@ fn cmd_minimize(args: &[String]) -> Result2<()> {
     let ics = gather_constraints(&opts, &mut types)?;
     let out = minimize_closed_guarded(&query, &ics.closure(), strategy, &guard)
         .map_err(|e| e.to_string())?;
-    println!("{}", to_dsl(&out.pattern, &types));
+    if !write_stdout(|w| writeln!(w, "{}", to_dsl(&out.pattern, &types)))? {
+        return Ok(());
+    }
     if opts.flag("tree") {
         eprintln!("\n{}", to_tree_string(&out.pattern, &types));
     }
@@ -437,18 +480,22 @@ fn cmd_explain(args: &[String]) -> Result2<()> {
     let query = parse_query(&opts, &mut types)?;
     let ics = gather_constraints(&opts, &mut types)?;
     let ex = tpq::core::explain(&query, &ics, strategy, &guard).map_err(|e| e.to_string())?;
-    println!("{}", to_dsl(&ex.minimized, &types));
-    println!(
-        "{} nodes -> {} ({} deleted) | trace {}",
-        query.size(),
-        ex.minimized.size(),
-        ex.deletions.len(),
-        tpq::obs::trace_hex(ex.trace),
-    );
-    for d in &ex.deletions {
-        println!("  - {}", deletion_line(d, &query, &types));
-    }
-    if opts.flag("events") {
+    let written = write_stdout(|w| {
+        writeln!(w, "{}", to_dsl(&ex.minimized, &types))?;
+        writeln!(
+            w,
+            "{} nodes -> {} ({} deleted) | trace {}",
+            query.size(),
+            ex.minimized.size(),
+            ex.deletions.len(),
+            tpq::obs::trace_hex(ex.trace),
+        )?;
+        for d in &ex.deletions {
+            writeln!(w, "  - {}", deletion_line(d, &query, &types))?;
+        }
+        Ok(())
+    })?;
+    if written && opts.flag("events") {
         eprint!("{}", tpq::obs::events_to_json_lines(&ex.events));
     }
     Ok(())
@@ -561,13 +608,16 @@ fn cmd_check(args: &[String]) -> Result2<()> {
     let guard = Guard::unlimited();
     let fwd = contains_under(&q1, &q2, &ics, &guard).map_err(|e| e.to_string())?;
     let bwd = contains_under(&q2, &q1, &ics, &guard).map_err(|e| e.to_string())?;
-    println!("q1 ⊆ q2: {fwd}");
-    println!("q2 ⊆ q1: {bwd}");
-    println!(
-        "equivalent: {}{}",
-        fwd && bwd,
-        if ics.is_empty() { "" } else { " (under the given constraints)" }
-    );
+    write_stdout(|w| {
+        writeln!(w, "q1 ⊆ q2: {fwd}")?;
+        writeln!(w, "q2 ⊆ q1: {bwd}")?;
+        writeln!(
+            w,
+            "equivalent: {}{}",
+            fwd && bwd,
+            if ics.is_empty() { "" } else { " (under the given constraints)" }
+        )
+    })?;
     Ok(())
 }
 
@@ -579,8 +629,8 @@ fn cmd_closure(args: &[String]) -> Result2<()> {
     let closed = ics.closure();
     let mut lines: Vec<String> = closed.iter().map(|c| constraint_line(&c, &types)).collect();
     lines.sort();
-    for l in lines {
-        println!("{l}");
+    if !write_stdout(|w| lines.iter().try_for_each(|l| writeln!(w, "{l}")))? {
+        return Ok(());
     }
     eprintln!("{} constraints ({} given)", closed.len(), ics.len());
     if !closed.is_finitely_satisfiable() {

@@ -177,6 +177,81 @@ fn minimize_batch_mode_shares_one_session() {
     assert_eq!(lines, vec!["Book*/Title", "Book*", "Shelf*//Book"]);
 }
 
+#[test]
+fn batch_folds_repeats_and_prints_what_each_line_minimizes_to() {
+    // Verbatim repeats, whitespace-padded repeats, isomorphic re-spellings,
+    // comments and blank lines. Isomorphic queries share the first
+    // spelling's result, so the re-spellings here minimize to paths, which
+    // have one spelling.
+    let lines = [
+        "Book*[/Title][/Publisher]",
+        "# a comment",
+        "a*[/b][/b/c]",
+        "Book*[/Title][/Publisher]",
+        "",
+        "  Book*[/Title][/Publisher]\t",
+        "Book*[/Publisher][/Title]",
+        "a*[/b/c][/b]",
+        "Shelf*//Book[/Publisher]",
+        "   ",
+        "a*[/b][/b/c]",
+        "Shelf*//Book[/Publisher]",
+    ];
+    let queries = temp_file("folded.txt", &(lines.join("\n") + "\n"));
+    let ic = ["--ic", "Book -> Publisher"];
+    let mut expected = String::new();
+    for line in lines.iter().map(|l| l.trim()).filter(|l| !l.is_empty() && !l.starts_with('#')) {
+        let out = tpq(&[&["minimize", "--query", line][..], &ic].concat());
+        assert!(out.status.success(), "{line}: {}", stderr(&out));
+        expected.push_str(&stdout(&out));
+    }
+    for jobs in ["1", "2", "4"] {
+        let out = tpq(&[
+            &["minimize", "--batch", queries.to_str().unwrap(), "--jobs", jobs, "--stats"][..],
+            &ic,
+        ]
+        .concat());
+        assert!(out.status.success(), "jobs {jobs}: {}", stderr(&out));
+        assert_eq!(stdout(&out), expected, "jobs {jobs}");
+        // Counted per input line: nine lines, three distinct patterns up
+        // to isomorphism, the other six lines cache hits.
+        let err = stderr(&out);
+        assert!(err.starts_with("9 queries (3 unique) | cache 6 hit / 3 miss |"), "{err}");
+        assert!(err.contains("| 0 failed |"), "{err}");
+    }
+    // The obs counters count the same way.
+    let metrics = std::env::temp_dir().join(format!("tpq-folded-{}.json", std::process::id()));
+    let out = tpq(&[
+        &["--metrics-json", metrics.to_str().unwrap()][..],
+        &["minimize", "--batch", queries.to_str().unwrap()],
+        &ic,
+    ]
+    .concat());
+    assert!(out.status.success(), "{}", stderr(&out));
+    let json = tpq::base::Json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+    let counter = |name: &str| {
+        json.get("counters")
+            .and_then(|c| c.as_array())
+            .and_then(|c| c.iter().find(|e| e.get("name").and_then(|n| n.as_str()) == Some(name)))
+            .and_then(|e| e.get("value"))
+            .and_then(|v| v.as_i64())
+    };
+    assert_eq!(counter("batch.cache.hit"), Some(6));
+    assert_eq!(counter("batch.cache.miss"), Some(3));
+    std::fs::remove_file(metrics).ok();
+}
+
+#[test]
+fn a_repeated_malformed_batch_line_is_reported_at_its_first_occurrence() {
+    let queries = temp_file("malformed.txt", "a*[/b]\nBook*[/Title\n\nBook*[/Title\na*[/b]\n");
+    let out = tpq(&["minimize", "--batch", queries.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    let err = stderr(&out);
+    assert!(err.contains(&format!("{}:2:", queries.display())), "{err}");
+    assert!(!err.contains(":4:"), "{err}");
+    assert!(stdout(&out).is_empty(), "{}", stdout(&out));
+}
+
 /// A batch whose output (about 280 KB) overflows any pipe buffer, so the
 /// writer is still writing when its reader goes away.
 fn large_batch(name: &str) -> std::path::PathBuf {
@@ -237,6 +312,17 @@ fn batch_output_into_a_closed_pipe_exits_quietly() {
         "Book -> Publisher",
     ]);
     assert_eq!(first, "Book*/Title\n");
+    assert_quiet_exit(&out);
+}
+
+#[test]
+fn closure_into_a_closed_pipe_exits_quietly() {
+    // The closure of a 120-type `->>` chain is 7,140 lines (about 87 KB),
+    // more than any pipe buffer holds.
+    let chain: Vec<String> = (0..119).map(|i| format!("t{i} ->> t{}\n", i + 1)).collect();
+    let ics = temp_file("chain-ics.txt", &chain.concat());
+    let (first, out) = into_closed_pipe(&["closure", "--constraints", ics.to_str().unwrap()]);
+    assert_eq!(first, "t0 ->> t1\n");
     assert_quiet_exit(&out);
 }
 
@@ -392,6 +478,24 @@ fn batch_deadline_reports_per_query_errors_and_exit_one() {
     let err = stderr(&out);
     assert!(err.contains("2 failed"), "{err}");
     assert!(err.contains("2 of 2 queries failed"), "{err}");
+}
+
+#[test]
+fn batch_deadline_fails_every_copy_of_a_repeated_query() {
+    let slow = pathological_query(3000);
+    let queries = temp_file("slow-repeats.txt", &format!("{slow}\n {slow}\n{slow}\n"));
+    let out =
+        tpq(&["minimize", "--batch", queries.to_str().unwrap(), "--deadline-ms", "1", "--stats"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert_eq!(text.lines().count(), 3, "{text}");
+    for line in text.lines() {
+        assert!(line.starts_with("# error: budget error"), "{line}");
+    }
+    let err = stderr(&out);
+    assert!(err.contains("3 queries (1 unique) | cache 2 hit / 1 miss"), "{err}");
+    assert!(err.contains("| 3 failed |"), "{err}");
+    assert!(err.contains("3 of 3 queries failed"), "{err}");
 }
 
 #[test]
