@@ -18,8 +18,10 @@
 //! Only *plain* obligations (direct unconstrained leaves) are removal
 //! targets; any live obligation can witness. Removing a leaf can make its
 //! parent a leaf, which the parent's parent then sees as a plain
-//! obligation — the single post-order sweep handles the cascade, and the
-//! driver re-sweeps until a fixpoint for good measure.
+//! obligation — the single post-order sweep handles the cascade. That one
+//! sweep reaches the fixpoint: a rule at `v` reads only `v`'s subtree,
+//! which is final by the time `v` is visited, and a removal only takes
+//! witnesses away, so a second sweep would remove nothing.
 //!
 //! CDM is *incomplete* (Theorem 5.2 gives local minimality only) but fast:
 //! its cost is `O(min(n · maxd · maxf, n²))` and independent of the size
@@ -43,8 +45,8 @@ pub fn cdm(q: &TreePattern, ics: &ConstraintSet) -> TreePattern {
 /// rules consult it directly; an unclosed set silently misses
 /// redundancies). Returns the number of leaves removed.
 ///
-/// The guard is checked at each fixpoint-sweep head and spent once per
-/// post-order frame. On a trip `q` is left partially pruned but still
+/// The guard is checked once on entry and spent once per post-order
+/// frame. On a trip `q` is left partially pruned but still
 /// equivalent under the constraints (every removal applied was
 /// individually justified by a Figure 6 rule); callers wanting
 /// all-or-nothing semantics work on a clone.
@@ -55,19 +57,13 @@ pub fn cdm_in_place_guarded(
     guard: &Guard,
 ) -> Result<usize> {
     let _span = tpq_obs::span!("cdm");
-    let mut total = 0;
-    loop {
-        guard.check()?;
-        let removed_before = total;
-        let root = q.root();
-        let _ = process(q, closed, root, &mut total, guard)?;
-        stats.cdm_removed += total - removed_before;
-        tpq_obs::incr("cdm_removed", (total - removed_before) as u64);
-        if total == removed_before {
-            break;
-        }
-    }
-    Ok(total)
+    guard.check()?;
+    let mut removed = 0;
+    let root = q.root();
+    process(q, closed, root, &mut removed, guard)?;
+    stats.cdm_removed += removed;
+    tpq_obs::incr("cdm_removed", removed as u64);
+    Ok(removed)
 }
 
 /// Post-order: minimize the whole tree below `start` (inclusive),

@@ -206,12 +206,14 @@ impl Document {
     }
 
     /// Every node's primary type, in id order.
-    pub(crate) fn primary_column(&self) -> &[TypeId] {
+    pub fn primary_column(&self) -> &[TypeId] {
         &self.primary
     }
 
-    /// The nodes with more than one type, ascending.
-    pub(crate) fn multi_typed(&self) -> &[DataNodeId] {
+    /// The nodes with more than one type, ascending: with
+    /// [`Document::primary_column`], these nodes' type sets list every
+    /// node's types.
+    pub fn multi_typed(&self) -> &[DataNodeId] {
         &self.multi_typed
     }
 

@@ -1,10 +1,12 @@
 //! Per-type node lists over a document.
 //!
 //! In a pre-ordered [`Document`] a node's id is its pre-order rank and its
-//! subtree is an id interval, so ancestorship needs no index at all. What
-//! the matchers still need is, per type, the nodes carrying it in id order
-//! (document order on a pre-ordered document). [`DocIndex::build`] gathers
-//! these lists with one counting sort over the document's type column.
+//! subtree is an id interval, so ancestorship needs no index at all.
+//! [`DocIndex::build`] lists, per type, the nodes carrying it in id order
+//! (document order on a pre-ordered document), with one counting sort over
+//! the document's type column. The matcher in `tpq-match` no longer reads
+//! these lists: it turns the same column into one bit row per type of the
+//! pattern on every call.
 
 use crate::document::{DataNodeId, Document};
 use tpq_base::TypeId;

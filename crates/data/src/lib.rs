@@ -11,8 +11,9 @@
 //! * an XML-subset parser and writer ([`xml`]) so examples and tests can be
 //!   written as readable markup, plus a chunked streaming reader/writer
 //!   pair for documents that should never exist as one `String`;
-//! * per-type node lists ([`index`]), built by one counting sort — the
-//!   data-side analogue of the paper's images tables;
+//! * per-type node lists ([`index`]), built by one counting sort over the
+//!   primary-type column ([`Document::primary_column`]), which the matcher
+//!   reads directly instead;
 //! * a random document generator ([`generate`]) used by the experiment
 //!   harness and the property tests.
 

@@ -1,99 +1,178 @@
-//! The evaluator: two semi-join passes over pre-order ids.
+//! The evaluator: two semi-join passes over pre-order bit rows.
 //!
 //! This is the O(|D|·|Q|) candidate pruning of Gottlob, Koch and Schulz
 //! ("Conjunctive Queries over Trees", PAPERS.md). On a pre-ordered
 //! document a node's id is its pre-order rank and its subtree is the id
-//! interval up to [`Document::subtree_end`], so every structural check
-//! below is a linear merge of two ascending id lists.
+//! interval up to [`Document::subtree_end`], so a set of data nodes is one
+//! bit row over ids and every structural check below reads rows a word at
+//! a time or their set bits in ascending order.
+//!
+//! Type rows: one pass over the document's primary-type column, plus its
+//! multi-typed nodes, sets one row per distinct type the pattern uses.
 //!
 //! Phase 1 (bottom-up): for each pattern node `v`, compute `cand(v)` — the
 //! data nodes `u` such that the subtree of `v` embeds with `v ↦ u`. The
 //! computation mirrors the images pruning of the minimization algorithms:
 //! pattern subtrees are independent, so `u ∈ cand(v)` iff `u` carries
-//! `v`'s types and every pattern child has a structurally compatible
-//! candidate.
+//! `v`'s types (the AND of their rows) and its attributes satisfy `v`'s
+//! value conditions, and every pattern child has a structurally compatible
+//! candidate. A c-edge ANDs the row with the parents of the child's
+//! candidates; a d-edge keeps `u` when the child's first candidate after
+//! `u` is at most `subtree_end(u)`.
 //!
 //! Phase 2 (top-down): intersect with reachability from the root to get
 //! `feasible(v)` — the data nodes that participate in at least one *full*
 //! embedding. The answer set is `feasible(output)`, which depends only on
-//! the `cand` lists of the root→output path, so the pass walks that path
+//! the `cand` rows of the root→output path, so the pass walks that path
 //! alone.
 
 use crate::PreOrdered;
-use std::borrow::Cow;
-use tpq_base::{failpoint, Guard, Result, TypeId};
+use tpq_base::{failpoint, Guard, Result, TypeId, TypeSet};
 use tpq_data::{DataNodeId, DocIndex, Document};
 use tpq_pattern::{condition, EdgeKind, NodeId, TreePattern};
 
-/// A candidate list: the index's own list of a type when a pattern node
-/// takes every node of it, else a filtered copy.
-enum Cand {
-    Type(TypeId),
-    Own(Vec<DataNodeId>),
+/// The set bits of `row` from bit `from` on, ascending.
+struct Ones<'r> {
+    row: &'r [u64],
+    word: usize,
+    bits: u64,
 }
 
-impl Cand {
-    fn list<'l>(&'l self, index: &'l DocIndex) -> &'l [DataNodeId] {
-        match self {
-            Cand::Type(t) => index.nodes_of_type(*t),
-            Cand::Own(list) => list,
-        }
+impl<'r> Ones<'r> {
+    fn from(row: &'r [u64], from: usize) -> Self {
+        let word = from / 64;
+        let bits = row.get(word).map_or(0, |&w| w & (!0 << (from % 64)));
+        Ones { row, word, bits }
     }
+}
 
-    /// The elements `keep` accepts, offered in ascending order.
-    fn retain(self, index: &DocIndex, mut keep: impl FnMut(DataNodeId) -> bool) -> Cand {
-        match self {
-            Cand::Type(t) => {
-                Cand::Own(index.nodes_of_type(t).iter().copied().filter(|&u| keep(u)).collect())
+impl Iterator for Ones<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        while self.bits == 0 {
+            self.word += 1;
+            self.bits = *self.row.get(self.word)?;
+        }
+        let bit = self.bits.trailing_zeros();
+        self.bits &= self.bits - 1;
+        Some(self.word as u32 * 64 + bit)
+    }
+}
+
+/// The first set bit of `row` at or after `from`; `usize::MAX` if none.
+fn next_one(row: &[u64], from: usize) -> usize {
+    Ones::from(row, from).next().map_or(usize::MAX, |u| u as usize)
+}
+
+fn has(row: &[u64], u: u32) -> bool {
+    row[u as usize / 64] & (1 << (u % 64)) != 0
+}
+
+fn set(row: &mut [u64], u: u32) {
+    row[u as usize / 64] |= 1 << (u % 64);
+}
+
+/// Set the bits `lo .. hi` of `row`.
+fn set_range(row: &mut [u64], lo: usize, hi: usize) {
+    if lo >= hi {
+        return;
+    }
+    let (first, last) = (lo / 64, (hi - 1) / 64);
+    let head = !0u64 << (lo % 64);
+    let tail = !0u64 >> (63 - (hi - 1) % 64);
+    if first == last {
+        row[first] |= head & tail;
+    } else {
+        row[first] |= head;
+        row[first + 1..last].fill(!0);
+        row[last] |= tail;
+    }
+}
+
+fn and_into(row: &mut [u64], other: &[u64]) {
+    row.iter_mut().zip(other).for_each(|(a, &b)| *a &= b);
+}
+
+/// Clear the set bits of `row` that `keep` rejects, offering them in
+/// ascending order; returns how many it offered.
+fn retain(row: &mut [u64], mut keep: impl FnMut(u32) -> bool) -> u64 {
+    let mut seen = 0;
+    for (w, word) in (0u32..).zip(row.iter_mut()) {
+        let (mut bits, mut kept) = (*word, 0);
+        while bits != 0 {
+            let bit = bits.trailing_zeros();
+            bits &= bits - 1;
+            seen += 1;
+            kept |= u64::from(keep(w * 64 + bit)) << bit;
+        }
+        *word = kept;
+    }
+    seen
+}
+
+/// The set bits of `row` as ascending ids.
+fn ids(row: &[u64]) -> Vec<DataNodeId> {
+    Ones::from(row, 0).map(DataNodeId).collect()
+}
+
+/// One row per distinct type a pattern uses, over one document's nodes.
+struct TypeRows {
+    /// The pattern's types, ascending: row `i` is the nodes of `types[i]`.
+    types: Vec<TypeId>,
+    words: usize,
+    rows: Vec<u64>,
+}
+
+impl TypeRows {
+    /// One pass over the primary-type column, then the type sets of the
+    /// multi-typed nodes. A type's row is found by a table over the small
+    /// type ids; ids past the document's size, for which such a table
+    /// would dwarf the rows, by binary search.
+    fn build(pattern: &TreePattern, doc: &Document) -> Self {
+        let mut types: Vec<TypeId> =
+            pattern.alive_ids().flat_map(|v| pattern.node(v).types.iter()).collect();
+        types.sort_unstable();
+        types.dedup();
+        // Nodes of a type the pattern does not use go to one extra row.
+        let other = types.len();
+        let limit = doc.len() + 64;
+        let table_len = types.iter().map(|t| t.index() + 1).filter(|&n| n <= limit).max();
+        let mut table = vec![other; table_len.unwrap_or(0)];
+        for (slot, t) in types.iter().enumerate() {
+            if let Some(entry) = table.get_mut(t.index()) {
+                *entry = slot;
             }
-            Cand::Own(mut list) => {
-                list.retain(|&u| keep(u));
-                Cand::Own(list)
+        }
+        let slot = |t: TypeId| match table.get(t.index()) {
+            Some(&slot) => slot,
+            None => types.binary_search(&t).unwrap_or(other),
+        };
+        let words = doc.len().div_ceil(64);
+        let mut rows = vec![0u64; (other + 1) * words];
+        for (w, chunk) in doc.primary_column().chunks(64).enumerate() {
+            for (bit, &t) in chunk.iter().enumerate() {
+                rows[slot(t) * words + w] |= 1 << bit;
             }
         }
-    }
-}
-
-/// One bit per document node, all clear between uses: the c-edge checks
-/// of both passes set the bits of a set of nodes, probe them, then clear
-/// the same bits.
-struct Marks(Vec<u64>);
-
-impl Marks {
-    fn new(nodes: usize) -> Self {
-        Marks(vec![0; nodes.div_ceil(64)])
-    }
-
-    fn set(&mut self, nodes: impl Iterator<Item = DataNodeId>) {
-        for u in nodes {
-            self.0[u.index() / 64] |= 1 << (u.0 % 64);
+        for &u in doc.multi_typed() {
+            for &t in doc.types(u) {
+                rows[slot(t) * words + u.index() / 64] |= 1 << (u.0 % 64);
+            }
         }
+        rows.truncate(other * words);
+        TypeRows { types, words, rows }
     }
 
-    fn clear(&mut self, nodes: impl Iterator<Item = DataNodeId>) {
-        for u in nodes {
-            self.0[u.index() / 64] &= !(1 << (u.0 % 64));
-        }
-    }
-
-    fn has(&self, u: DataNodeId) -> bool {
-        self.0[u.index() / 64] & (1 << (u.0 % 64)) != 0
-    }
-}
-
-/// `u` has a node of the ascending `below` strictly inside its subtree.
-/// Offered ascending `u`s, the first element after `u` only moves
-/// forward, so one pass over `below` serves all of them.
-fn has_descendant_in<'b>(
-    doc: &'b Document,
-    below: &'b [DataNodeId],
-) -> impl FnMut(DataNodeId) -> bool + 'b {
-    let mut next = 0;
-    move |u| {
-        while below.get(next).is_some_and(|&w| w <= u) {
-            next += 1;
-        }
-        below.get(next).is_some_and(|&w| w <= doc.subtree_end(u))
+    /// The nodes that carry every type of `types`.
+    fn and_of(&self, types: &TypeSet) -> Vec<u64> {
+        let mut rows = types.iter().map(|t| {
+            let slot = self.types.binary_search(&t).expect("a type of the pattern");
+            &self.rows[slot * self.words..(slot + 1) * self.words]
+        });
+        let mut row = rows.next().expect("non-empty type set").to_vec();
+        rows.for_each(|other| and_into(&mut row, other));
+        row
     }
 }
 
@@ -104,19 +183,18 @@ fn has_descendant_in<'b>(
 pub struct Matcher<'a> {
     pattern: &'a TreePattern,
     doc: PreOrdered<'a>,
-    index: Cow<'a, DocIndex>,
-    /// `cand[v]`: subtree-embedding candidates, ascending.
-    cand: Vec<Cand>,
+    /// `cand[v]`: subtree-embedding candidates, one bit per data node.
+    cand: Vec<Vec<u64>>,
     /// `feasible(output)`: the answer set, ascending.
     answers: Vec<DataNodeId>,
 }
 
 impl<'a> Matcher<'a> {
-    /// Build the candidate lists and the answer set of `pattern` on `doc`,
-    /// indexing `doc` first. One guard step is spent per seed-list element
-    /// and one per element of each merge, so a deadline or budget trips
-    /// mid-build on large documents. Passes the `match.build` failpoint
-    /// once on entry.
+    /// Build the type rows, the candidate rows and the answer set of
+    /// `pattern` on `doc`. One guard step is spent per document node read
+    /// by the type pass, and per row word and per visited bit of every
+    /// later step, so a deadline or budget trips mid-build on large
+    /// documents. Passes the `match.build` failpoint once on entry.
     ///
     /// ```
     /// use tpq_base::{Guard, TypeInterner};
@@ -135,77 +213,70 @@ impl<'a> Matcher<'a> {
         failpoint::hit("match.build")?;
         let _span = tpq_obs::span!("match.build");
         let doc = PreOrdered::new(doc);
-        let index = {
+        guard.spend(doc.len() as u64)?;
+        let types = {
             let _s = tpq_obs::span!("match.index");
-            DocIndex::build(&doc)
+            TypeRows::build(pattern, &doc)
         };
-        Matcher::build(pattern, doc, Cow::Owned(index), guard)
-    }
-
-    /// [`Matcher::new`] over a caller-built [`DocIndex`] of `doc`, for
-    /// matching many patterns against one document without rebuilding the
-    /// index per pattern. A document whose ids are not in pre-order is
-    /// renumbered and indexed afresh, as [`Matcher::new`] does.
-    pub(crate) fn with_index(
-        pattern: &'a TreePattern,
-        doc: &'a Document,
-        index: &'a DocIndex,
-        guard: &Guard,
-    ) -> Result<Self> {
-        if !doc.is_pre_order() {
-            return Matcher::new(pattern, doc, guard);
-        }
-        failpoint::hit("match.build")?;
-        let _span = tpq_obs::span!("match.build");
-        Matcher::build(pattern, PreOrdered::new(doc), Cow::Borrowed(index), guard)
-    }
-
-    fn build(
-        pattern: &'a TreePattern,
-        doc: PreOrdered<'a>,
-        index: Cow<'a, DocIndex>,
-        guard: &Guard,
-    ) -> Result<Self> {
-        let mut marks = Marks::new(doc.len());
+        let words = doc.len().div_ceil(64);
+        // The parents of a c-edge child's candidates, and the proper
+        // descendants of a d-edge parent's feasible nodes.
+        let mut scratch = vec![0u64; words];
+        let words = words as u64;
         let cand_span = tpq_obs::span!("match.candidates");
-        let mut cand: Vec<Cand> = (0..pattern.arena_len()).map(|_| Cand::Own(Vec::new())).collect();
+        let mut cand: Vec<Vec<u64>> = vec![Vec::new(); pattern.arena_len()];
         for v in pattern.post_order() {
             let node = pattern.node(v);
-            // Seed from the rarest type's list; borrow it when every
-            // element qualifies, else check the full type set and the
-            // value conditions.
-            let seed = node
-                .types
-                .iter()
-                .min_by_key(|t| index.nodes_of_type(*t).len())
-                .expect("non-empty type set");
-            guard.spend(index.nodes_of_type(seed).len() as u64 + 1)?;
-            let mut list = Cand::Type(seed);
-            if node.types.len() > 1 || !node.conditions.is_empty() {
-                list = list.retain(&index, |u| {
-                    doc.has_types(u, &node.types)
-                        && condition::satisfied_by(&node.conditions, doc.attrs(u))
+            let mut row = types.and_of(&node.types);
+            guard.spend(words * node.types.len() as u64)?;
+            if !node.conditions.is_empty() {
+                let seen = retain(&mut row, |u| {
+                    condition::satisfied_by(&node.conditions, doc.attrs(DataNodeId(u)))
                 });
+                guard.spend(seen)?;
             }
             for &w in node.children.iter().filter(|&&w| pattern.is_alive(w)) {
-                let below = cand[w.index()].list(&index);
-                guard.spend((list.list(&index).len() + below.len()) as u64)?;
-                list = match pattern.node(w).edge {
-                    EdgeKind::Descendant => list.retain(&index, has_descendant_in(&doc, below)),
+                let below = &cand[w.index()];
+                let seen = match pattern.node(w).edge {
+                    EdgeKind::Descendant => {
+                        // `u`'s successor in `below` is in `u`'s word or is
+                        // `after`, the first bit past that word. `after` is
+                        // recomputed only once `u`'s word reaches it.
+                        let mut after = 0;
+                        retain(&mut row, |u| {
+                            let word = u as usize / 64;
+                            if after < (word + 1) * 64 {
+                                after = next_one(below, (word + 1) * 64);
+                            }
+                            let above = below[word] & (!1 << (u % 64));
+                            let next = if above != 0 {
+                                word * 64 + above.trailing_zeros() as usize
+                            } else {
+                                after
+                            };
+                            next <= doc.subtree_end(DataNodeId(u)).index()
+                        })
+                    }
                     EdgeKind::Child => {
-                        let parents = || below.iter().filter_map(|&c| doc.parent(c));
-                        marks.set(parents());
-                        let list = list.retain(&index, |u| marks.has(u));
-                        marks.clear(parents());
-                        list
+                        scratch.fill(0);
+                        let mut seen = 0;
+                        for c in Ones::from(below, 0) {
+                            seen += 1;
+                            if let Some(p) = doc.parent(DataNodeId(c)) {
+                                set(&mut scratch, p.0);
+                            }
+                        }
+                        and_into(&mut row, &scratch);
+                        seen
                     }
                 };
+                guard.spend(words + seen)?;
             }
-            cand[v.index()] = list;
+            cand[v.index()] = row;
         }
         if tpq_obs::enabled() {
-            let total: usize = cand.iter().map(|c| c.list(&index).len()).sum();
-            tpq_obs::incr("match.candidates", total as u64);
+            let total: u32 = cand.iter().flatten().map(|w| w.count_ones()).sum();
+            tpq_obs::incr("match.candidates", u64::from(total));
         }
         drop(cand_span);
         let _join_span = tpq_obs::span!("match.join");
@@ -214,50 +285,39 @@ impl<'a> Matcher<'a> {
             path.push(p);
         }
         let root = path.pop().expect("the path ends at the root");
-        let mut feasible = cand[root.index()].list(&index).to_vec();
+        let mut feasible = cand[root.index()].clone();
         for &w in path.iter().rev() {
-            let below = cand[w.index()].list(&index);
-            guard.spend((feasible.len() + below.len()) as u64 + 1)?;
-            feasible = match pattern.node(w).edge {
-                EdgeKind::Child => {
-                    marks.set(feasible.iter().copied());
-                    let kept = below
-                        .iter()
-                        .copied()
-                        .filter(|&c| doc.parent(c).is_some_and(|p| marks.has(p)))
-                        .collect();
-                    marks.clear(feasible.iter().copied());
-                    kept
-                }
+            let mut below = cand[w.index()].clone();
+            let seen = match pattern.node(w).edge {
+                EdgeKind::Child => retain(&mut below, |c| {
+                    doc.parent(DataNodeId(c)).is_some_and(|p| has(&feasible, p.0))
+                }),
                 EdgeKind::Descendant => {
-                    // `reach`: one past the furthest subtree end among the
-                    // feasible parents before `c`, so one of them is a
-                    // proper ancestor of `c` iff `reach > c`.
-                    let (mut next, mut reach) = (0, 0u32);
-                    below
-                        .iter()
-                        .copied()
-                        .filter(|&c| {
-                            while let Some(&p) = feasible.get(next).filter(|&&p| p < c) {
-                                reach = reach.max(doc.subtree_end(p).0 + 1);
-                                next += 1;
-                            }
-                            reach > c.0
-                        })
-                        .collect()
+                    // A feasible node's subtree holds every feasible node
+                    // nested in it, so the outermost ones cover them all.
+                    scratch.fill(0);
+                    let mut seen = 0;
+                    let mut p = next_one(&feasible, 0);
+                    while p != usize::MAX {
+                        seen += 1;
+                        let end = doc.subtree_end(DataNodeId(p as u32)).index();
+                        set_range(&mut scratch, p + 1, end + 1);
+                        p = next_one(&feasible, end + 1);
+                    }
+                    and_into(&mut below, &scratch);
+                    seen
                 }
             };
+            guard.spend(words + seen)?;
+            feasible = below;
         }
-        Ok(Matcher { pattern, doc, index, cand, answers: feasible })
-    }
-
-    fn cand(&self, v: NodeId) -> &[DataNodeId] {
-        self.cand[v.index()].list(&self.index)
+        let answers = ids(&feasible);
+        Ok(Matcher { pattern, doc, cand, answers })
     }
 
     /// Does at least one embedding exist?
     pub fn matches(&self) -> bool {
-        !self.cand(self.pattern.root()).is_empty()
+        self.cand[self.pattern.root().index()].iter().any(|&w| w != 0)
     }
 
     /// Data nodes the output node binds to across all embeddings, in
@@ -269,7 +329,7 @@ impl<'a> Matcher<'a> {
     /// Subtree-embedding candidates of a pattern node (phase 1 result), in
     /// document order.
     pub fn candidates(&self, v: NodeId) -> Vec<DataNodeId> {
-        self.doc.to_caller(self.cand(v).to_vec())
+        self.doc.to_caller(ids(&self.cand[v.index()]))
     }
 
     /// Total number of embeddings (may be exponential in value; saturates
@@ -279,16 +339,17 @@ impl<'a> Matcher<'a> {
     /// child's candidates below it.
     pub fn count_embeddings(&self) -> u64 {
         let doc = &self.doc;
+        let cand: Vec<Vec<DataNodeId>> = self.cand.iter().map(|row| ids(row)).collect();
         // `count[v][i]`: embeddings of `v`'s subtree with `v ↦ cand[v][i]`.
         let mut count: Vec<Vec<u64>> = vec![Vec::new(); self.pattern.arena_len()];
         for v in self.pattern.post_order() {
-            let cand = self.cand(v);
-            let mut counts = vec![1u64; cand.len()];
+            let cand_v = &cand[v.index()];
+            let mut counts = vec![1u64; cand_v.len()];
             for &w in &self.pattern.node(v).children {
                 if !self.pattern.is_alive(w) {
                     continue;
                 }
-                let below = self.cand(w);
+                let below = &cand[w.index()];
                 let below_counts = &count[w.index()];
                 match self.pattern.node(w).edge {
                     EdgeKind::Child => {
@@ -300,7 +361,7 @@ impl<'a> Matcher<'a> {
                                 *sum = sum.saturating_add(c);
                             }
                         }
-                        for (&u, n) in cand.iter().zip(&mut counts) {
+                        for (&u, n) in cand_v.iter().zip(&mut counts) {
                             *n = n.saturating_mul(by_parent.get(&u).copied().unwrap_or(0));
                         }
                     }
@@ -312,7 +373,7 @@ impl<'a> Matcher<'a> {
                         for (i, &c) in below_counts.iter().enumerate() {
                             prefix[i + 1] = prefix[i] + u128::from(c);
                         }
-                        for (&u, n) in cand.iter().zip(&mut counts) {
+                        for (&u, n) in cand_v.iter().zip(&mut counts) {
                             let lo = below.partition_point(|&p| p <= u);
                             let hi = below.partition_point(|&p| p <= doc.subtree_end(u));
                             let sum = u64::try_from(prefix[hi] - prefix[lo]).unwrap_or(u64::MAX);
@@ -359,18 +420,24 @@ impl<'a> Matcher<'a> {
             return;
         }
         let v = order[i];
-        let parent_img = self.pattern.node(v).parent.map(|p| binding[&p]);
-        let edge = self.pattern.node(v).edge;
-        for &u in self.cand(v) {
-            if let Some(pu) = parent_img {
-                let ok = match edge {
-                    EdgeKind::Child => self.doc.parent(u) == Some(pu),
-                    EdgeKind::Descendant => self.doc.is_proper_ancestor(pu, u),
-                };
-                if !ok {
-                    continue;
+        let row = &self.cand[v.index()];
+        // The candidates of `v` that fit its parent's image: all of them
+        // at the root, else the image's children or its subtree's interior.
+        let images: Vec<DataNodeId> = match self.pattern.node(v).parent {
+            None => ids(row),
+            Some(p) => {
+                let pu = binding[&p];
+                match self.pattern.node(v).edge {
+                    EdgeKind::Child => self.doc.children(pu).filter(|c| has(row, c.0)).collect(),
+                    EdgeKind::Descendant => {
+                        let end = self.doc.subtree_end(pu).0;
+                        let inside = Ones::from(row, pu.index() + 1).take_while(|&u| u <= end);
+                        inside.map(DataNodeId).collect()
+                    }
                 }
             }
+        };
+        for u in images {
             binding.insert(v, u);
             self.enumerate(order, i + 1, binding, limit, out);
             binding.remove(&v);
@@ -395,20 +462,17 @@ pub fn answer_set_twig(pattern: &TreePattern, doc: &Document) -> Vec<DataNodeId>
     answer_set(pattern, doc)
 }
 
-/// The answer set of `pattern` on `doc` over a caller-built [`DocIndex`]
-/// of `doc`, for matching many patterns against one document without
-/// rebuilding the index per pattern; [`Matcher::new`] without the index
-/// build, which it otherwise equals, guard charges and the `match.build`
-/// failpoint included. A document whose ids are not in pre-order is
-/// renumbered and indexed afresh. Named after the former twig-join
-/// engine, for callers written against it.
+/// [`Matcher::new`]'s answers, under the name of the former twig-join
+/// engine and with the [`DocIndex`] argument that engine read, for callers
+/// written against it. The matcher builds its own type rows and ignores
+/// `index`.
 pub fn answer_set_twig_indexed(
     pattern: &TreePattern,
     doc: &Document,
-    index: &DocIndex,
+    _index: &DocIndex,
     guard: &Guard,
 ) -> Result<Vec<DataNodeId>> {
-    Matcher::with_index(pattern, doc, index, guard).map(|m| m.answers())
+    Matcher::new(pattern, doc, guard).map(|m| m.answers())
 }
 
 /// Answer sets per tree of a forest, as `(tree_index, node)` pairs.
@@ -579,7 +643,7 @@ mod tests {
         let (p, d, _) = setup("a//b*", "<a><b/><b/><b/><b/></a>");
         let index = DocIndex::build(&d);
         for guard in [Guard::with_budget(3), Guard::with_budget(9)] {
-            match Matcher::with_index(&p, &d, &index, &guard) {
+            match Matcher::new(&p, &d, &guard) {
                 Err(Error::Budget { .. }) => {}
                 Err(e) => panic!("expected a budget trip, got {e:?}"),
                 Ok(_) => panic!("expected a budget trip, got answers"),
@@ -592,7 +656,7 @@ mod tests {
     }
 
     #[test]
-    fn indexed_entry_point_reuses_the_index() {
+    fn indexed_entry_point_equals_the_matcher() {
         let (p, d, mut tys) = setup("a//b*", "<a><b/><c><b/></c></a>");
         let index = DocIndex::build(&d);
         let p2 = parse_pattern("c/b*", &mut tys).unwrap();

@@ -10,21 +10,21 @@
 //!
 //! Two evaluators are provided:
 //!
-//! * [`embed`] — the production evaluator: bottom-up candidate pruning
-//!   over a [`DocIndex`](tpq_data::DocIndex), then a top-down feasibility
-//!   pass along the root→output path, both linear merges of ascending
-//!   pre-order ids; polynomial and exact, embedding counts included;
+//! * [`embed`] — the production evaluator: one bit row over pre-order ids
+//!   per type the pattern uses, bottom-up candidate pruning on those rows,
+//!   then a top-down feasibility pass along the root→output path;
+//!   polynomial and exact, embedding counts included;
 //! * [`naive`] — exponential backtracking enumeration of embeddings, used
 //!   to cross-validate the production evaluator in tests.
 //!
 //! Each evaluator has one guarded entry point that returns a `Result`
 //! (`Guard::unlimited()` for no limit): [`Matcher::new`],
 //! [`answer_set_naive`] and [`count_embeddings_naive`].
-//! [`answer_set_twig_indexed`] runs the matcher over a caller-built index.
 //! [`answer_set`] is the infallible convenience over the first; it panics
 //! only if the `match.build` failpoint is armed. [`answer_set_twig`]
-//! equals it; it and [`answer_set_twig_indexed`] keep the names of the
-//! former twig-join engine.
+//! equals it, and [`answer_set_twig_indexed`] equals [`Matcher::new`]'s
+//! answers; both keep the names of the former twig-join engine, and the
+//! second ignores the [`DocIndex`](tpq_data::DocIndex) it still takes.
 //!
 //! Matching cost grows with pattern size — which is the whole motivation
 //! for minimization; the ablation benches quantify it.

@@ -7,12 +7,16 @@
 //! compared as sorted sets (the two orders coincide on pre-ordered
 //! documents).
 //!
-//! Further batteries cover pattern nodes that share a seed type (the
-//! rarest of their types) and so read one type list.
+//! Further batteries cover pattern nodes that read one type row, documents
+//! whose sizes straddle the 64-bit words of the matcher's bit rows (with
+//! embedding counts checked too), type ids near `u32::MAX`, and a budget
+//! that trips partway through matching a 100k-node document.
 
-use tpq_base::{Cmp, Error, Guard, SmallRng, TypeId, TypeInterner, Value};
+use tpq_base::{Cmp, Error, Guard, SmallRng, TypeId, TypeInterner, TypeSet, Value};
 use tpq_data::{generate_document, DataNodeId, DocIndex, Document, DocumentSpec};
-use tpq_match::{answer_set, answer_set_naive, answer_set_twig_indexed, Matcher};
+use tpq_match::{
+    answer_set, answer_set_naive, answer_set_twig_indexed, count_embeddings_naive, Matcher,
+};
 use tpq_pattern::{parse_pattern, Condition, TreePattern};
 use tpq_workload::{random_pattern, redundancy_query, PatternSpec, RedundancySpec};
 
@@ -161,8 +165,8 @@ fn indexed_matcher_agrees_with_a_fresh_one_across_queries_on_one_doc() {
 
 #[test]
 fn pattern_nodes_sharing_a_seed_type_agree() {
-    // Few types and dense multi-typing: most pattern nodes share a seed
-    // list with a parent, a sibling or a cousin.
+    // Few types and dense multi-typing: most pattern nodes share a type
+    // row with a parent, a sibling or a cousin.
     let mut tys = TypeInterner::new();
     for i in 0..3 {
         tys.intern(&format!("t{i}"));
@@ -197,7 +201,7 @@ fn pattern_nodes_sharing_a_seed_type_agree() {
 
 #[test]
 fn mixed_exact_and_filtered_members_of_one_stream_agree() {
-    // One seed list feeds members with exactly `{seed}` (no filtering),
+    // One type row feeds members with exactly that type (no filtering),
     // members with an extra type, and members with a value condition.
     let mut tys = TypeInterner::new();
     for i in 0..3 {
@@ -223,7 +227,7 @@ fn mixed_exact_and_filtered_members_of_one_stream_agree() {
             total += agree(&parse_pattern(q, &mut tys).unwrap(), &doc, q);
         }
         // Multi-typed members: give one of several t1 nodes an extra type,
-        // so it may or may not keep t1 as its seed.
+        // so its row is the AND of two type rows.
         for extra in [TypeId(0), TypeId(2)] {
             let mut p = parse_pattern("t0*[//t1][//t1][/t1]", &mut tys).unwrap();
             let kids = p.node(p.root()).children.clone();
@@ -390,4 +394,179 @@ fn deep_chain_with_mixed_edges_agrees() {
         total += answers.len();
     }
     assert!(total > 1000, "only {total} answers: the chain stopped matching");
+}
+
+/// Both engines' answers and embedding counts on one pair; returns the
+/// count, or 0 when the naive enumerator ran out of budget.
+fn agree_with_counts(pattern: &TreePattern, doc: &Document, ctx: &str) -> u64 {
+    let m = Matcher::new(pattern, doc, &Guard::unlimited()).unwrap();
+    let mut answers = m.answers();
+    answers.sort_unstable();
+    let naive = answer_set_naive(pattern, doc, &Guard::with_budget(2_000_000));
+    let count = count_embeddings_naive(pattern, doc, &Guard::with_budget(2_000_000));
+    match (naive, count) {
+        (Ok(naive), Ok(count)) => {
+            assert_eq!(answers, naive, "{ctx}: answers vs naive");
+            assert_eq!(m.count_embeddings(), count, "{ctx}: embedding count vs naive");
+            count
+        }
+        (Err(Error::Budget { .. }), _) | (_, Err(Error::Budget { .. })) => 0,
+        (Err(e), _) | (_, Err(e)) => panic!("{ctx}: naive failed unexpectedly: {e:?}"),
+    }
+}
+
+/// Patterns over `t0`–`t2` and the attribute `x`: c- and d-edge pairs,
+/// value conditions, a multi-typed node and self-overlap.
+fn boundary_patterns(tys: &mut TypeInterner) -> Vec<TreePattern> {
+    let mut patterns: Vec<TreePattern> = [
+        "t0*/t1",
+        "t0*//t1",
+        "t0/t1*",
+        "t0//t1*",
+        "t1*[/t2][//t0]",
+        "t0[/t1{x<2}]//t2*",
+        "t2*{x>=1}//t2",
+        "t0//t0*//t0",
+        "t1*/t1/t1",
+        "t0*[//t1//t2][/t2{x!=3}]",
+    ]
+    .iter()
+    .map(|q| parse_pattern(q, tys).unwrap())
+    .collect();
+    let mut multi = parse_pattern("t0*//t1[/t2]", tys).unwrap();
+    let t1 = multi.node(multi.root()).children[0];
+    multi.node_mut(t1).types.insert(TypeId(2));
+    patterns.push(multi);
+    patterns
+}
+
+#[test]
+fn documents_across_row_word_boundaries_agree_with_naive() {
+    // 63/64/65 and 127/128/129 nodes end a row just before, at and just
+    // after a word boundary. The nodes on both sides of each boundary get
+    // an extra type and an attribute value, and the chains of the low
+    // fanouts put parent/child and ancestor/descendant pairs across it.
+    let mut tys = TypeInterner::new();
+    for i in 0..3 {
+        tys.intern(&format!("t{i}"));
+    }
+    let x = tys.intern("x");
+    let patterns = boundary_patterns(&mut tys);
+    let (mut crossing, mut total) = (0, 0);
+    for nodes in [63usize, 64, 65, 127, 128, 129] {
+        for seed in 0..6u64 {
+            let mut rng = SmallRng::seed_from_u64(seed * 1000 + nodes as u64);
+            let mut doc = generate_document(&DocumentSpec {
+                nodes,
+                num_types: 3,
+                max_fanout: 1 + seed as usize % 3,
+                extra_type_prob: 0.1,
+                seed: seed + nodes as u64,
+            });
+            let near = |b: usize| b.saturating_sub(3)..(b + 3).min(nodes);
+            for u in near(64).chain(near(128)) {
+                let u = DataNodeId(u as u32);
+                doc.add_type(u, TypeId(rng.gen_range(0..3u32)));
+                doc.set_attr(u, x, Value::Int(rng.gen_range(0..4u32) as i64));
+            }
+            crossing += doc
+                .ids()
+                .filter(|&u| doc.parent(u).is_some_and(|p| p.index() / 64 != u.index() / 64))
+                .count();
+            for (i, p) in patterns.iter().enumerate() {
+                total += agree_with_counts(p, &doc, &format!("{nodes} nodes, seed {seed}, #{i}"));
+            }
+        }
+    }
+    assert!(crossing >= 30, "only {crossing} parent/child pairs across a word boundary");
+    assert!(total > 1000, "only {total} embeddings: the documents stopped matching");
+}
+
+#[test]
+fn documents_built_out_of_order_across_word_boundaries_agree_with_naive() {
+    let mut tys = TypeInterner::new();
+    for i in 0..3 {
+        tys.intern(&format!("t{i}"));
+    }
+    let patterns = boundary_patterns(&mut tys);
+    let mut total = 0;
+    for nodes in [63u32, 64, 65, 127, 128, 129] {
+        let mut rng = SmallRng::seed_from_u64(u64::from(nodes));
+        let doc = grown_out_of_order(&mut rng, nodes, 3);
+        assert!(!doc.is_pre_order(), "{nodes} nodes: grown in document order");
+        for (i, p) in patterns.iter().enumerate() {
+            total += agree_with_counts(p, &doc, &format!("{nodes} nodes out of order, #{i}"));
+        }
+    }
+    assert!(total > 100, "only {total} embeddings: the documents stopped matching");
+}
+
+#[test]
+fn type_ids_near_u32_max_agree_with_naive() {
+    // Huge type ids as primary types and as extra types, beside small
+    // ones; the matcher must neither size a table by them nor miss them.
+    let (huge, big, absent) = (TypeId(u32::MAX - 1), TypeId(u32::MAX - 2), TypeId(u32::MAX));
+    let mut tys = TypeInterner::new();
+    let t0 = tys.intern("t0");
+    let mut doc = Document::new(huge);
+    let mut rng = SmallRng::seed_from_u64(11);
+    for i in 0..140u32 {
+        let ty = *rng.choose(&[huge, big, t0]).unwrap();
+        // Under the root or the newest node, so ids stay in document order.
+        let parent = if i % 3 == 0 { doc.root() } else { DataNodeId(doc.len() as u32 - 1) };
+        let u = doc.add_child(parent, ty);
+        if rng.gen_bool(0.3) {
+            doc.add_type(u, *rng.choose(&[huge, big, t0]).unwrap());
+        }
+    }
+    assert!(doc.is_pre_order());
+    let mut total = 0;
+    for (q, types) in [
+        ("t0*/t0", [huge, big]),
+        ("t0*//t0", [big, huge]),
+        ("t0//t0*", [huge, t0]),
+        ("t0*/t0", [absent, huge]),
+    ] {
+        let mut p = parse_pattern(q, &mut tys).unwrap();
+        let child = p.node(p.root()).children[0];
+        let root = p.root();
+        p.node_mut(root).types = TypeSet::singleton(types[0]);
+        p.node_mut(child).types = TypeSet::singleton(types[1]);
+        total += agree_with_counts(&p, &doc, &format!("{q} as {types:?}"));
+        // The same pattern with the child also needing `t0`.
+        p.node_mut(child).types.insert(t0);
+        total += agree_with_counts(&p, &doc, &format!("{q} as {types:?} + t0"));
+    }
+    assert!(total > 100, "only {total} embeddings: the huge types stopped matching");
+}
+
+#[test]
+fn a_small_budget_trips_partway_through_a_large_document() {
+    let mut tys = TypeInterner::new();
+    for i in 0..4 {
+        tys.intern(&format!("t{i}"));
+    }
+    let doc = generate_document(&DocumentSpec {
+        nodes: 100_000,
+        num_types: 4,
+        max_fanout: 4,
+        extra_type_prob: 0.1,
+        seed: 3,
+    });
+    let pattern = parse_pattern("t0*[//t1][/t2]//t3", &mut tys).unwrap();
+    let full = Guard::with_budget(u64::MAX);
+    let answers = Matcher::new(&pattern, &doc, &full).unwrap().answers();
+    assert_eq!(answers, answer_set(&pattern, &doc));
+    assert!(!answers.is_empty());
+    // Past the type pass, which costs one step per node, and short of the
+    // rest of the build.
+    let (nodes, total) = (doc.len() as u64, full.spent());
+    assert!(total > nodes + 10_000, "the build after the type pass cost only {}", total - nodes);
+    let guard = Guard::with_budget((nodes + total) / 2);
+    match Matcher::new(&pattern, &doc, &guard) {
+        Err(Error::Budget { .. }) => {}
+        Err(e) => panic!("expected a budget trip, got {e:?}"),
+        Ok(_) => panic!("expected a budget trip, got answers"),
+    }
+    assert!(guard.spent() > nodes, "tripped in the type pass, not partway through the build");
 }

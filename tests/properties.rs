@@ -8,9 +8,10 @@ use tpq::base::Guard;
 use tpq::base::SmallRng;
 use tpq::constraints::ConstraintSet;
 use tpq::core::{
-    augment_guarded, cdm, chase::present_types, cim, cim_with_order, equivalent, equivalent_under,
-    has_homomorphism, has_homomorphism_naive, locally_redundant_leaves, minimize_closed_guarded,
-    minimize_with, MinimizeOutcome, MinimizeStats, Strategy,
+    augment_guarded, cdm, cdm_in_place_guarded, chase::present_types, cim, cim_with_order,
+    equivalent, equivalent_under, has_homomorphism, has_homomorphism_naive,
+    locally_redundant_leaves, minimize_closed_guarded, minimize_with, MinimizeOutcome,
+    MinimizeStats, Strategy,
 };
 use tpq::matching::{answer_set, answer_set_naive};
 use tpq::pattern::{isomorphic, TreePattern};
@@ -274,6 +275,30 @@ fn cdm_locally_minimal_over(ic_types: usize) {
             "locally redundant leaf survives CDM (case {case})"
         );
     }
+}
+
+/// CDM's one post-order sweep reaches its fixpoint: a second sweep over
+/// its output, before compaction and after, removes nothing.
+#[test]
+fn cdm_second_sweep_removes_nothing() {
+    let mut first = 0;
+    for case in 0..CASES {
+        let mut r = case_rng(9, case);
+        let count = r.gen_range(4..20usize);
+        let ic_types = r.gen_range(3..6usize);
+        let mut q = pattern(case, r.gen_range(2..20), 4);
+        let closed =
+            random_constraints(&ConstraintSpec { count, num_types: ic_types, seed: case << 9 })
+                .closure();
+        let (mut stats, guard) = (MinimizeStats::default(), Guard::unlimited());
+        first += cdm_in_place_guarded(&mut q, &closed, &mut stats, &guard).unwrap();
+        let again = cdm_in_place_guarded(&mut q, &closed, &mut stats, &guard).unwrap();
+        assert_eq!(again, 0, "case {case}: a second sweep removed {again} more");
+        let (mut compacted, _) = q.compact();
+        let again = cdm_in_place_guarded(&mut compacted, &closed, &mut stats, &guard).unwrap();
+        assert_eq!(again, 0, "case {case}: a sweep over the compacted output removed {again}");
+    }
+    assert!(first >= CASES as usize, "only {first} removals: the battery stopped exercising CDM");
 }
 
 /// Theorem 5.3: CDM as a pre-filter does not change ACIM's result.
