@@ -28,10 +28,16 @@
 //! becomes an error entry in its own slot while the remaining patterns
 //! complete normally — the process never aborts.
 //!
+//! Beside the memo, each engine keeps a bounded **query-text front**: the
+//! rendered answer served for one verbatim query text, so that a server
+//! answers a textual repeat with one hash probe, before any parse (see
+//! [`BatchMinimizer::front_probe`]). The front lives and dies with its
+//! engine and memo.
+//!
 //! Observability (when the `tpq-obs` layer is enabled): counters
-//! `batch.cache.hit`, `batch.cache.miss`, `batch.steal`, `pool.panic` and
-//! per-worker latency histograms `batch.worker.N` (see
-//! `docs/OBSERVABILITY.md`).
+//! `batch.cache.hit`, `batch.cache.miss`, `batch.front.hit`,
+//! `batch.steal`, `pool.panic` and per-worker latency histograms
+//! `batch.worker.N` (see `docs/OBSERVABILITY.md`).
 //!
 //! ```
 //! use tpq_base::TypeInterner;
@@ -59,7 +65,7 @@ use std::time::{Duration, Instant};
 use tpq_base::pool::{scoped_map, PoolStats};
 use tpq_base::{FxHashMap, Guard, Result};
 use tpq_constraints::ConstraintSet;
-use tpq_pattern::{CanonicalKey, TreePattern};
+use tpq_pattern::{CanonicalKey, Syntax, TreePattern};
 
 /// Static span names so per-worker latency lands in distinct histograms
 /// without allocating names (the registry is keyed by `&'static str`).
@@ -99,6 +105,46 @@ pub struct BatchMinimizer {
     closed: ConstraintSet,
     strategy: Strategy,
     cache: RwLock<FxHashMap<CanonicalKey, Arc<TreePattern>>>,
+    front: RwLock<Front>,
+}
+
+/// Most query texts one engine's front holds.
+pub const FRONT_MAX_ENTRIES: usize = 4096;
+
+/// Most bytes one engine's front holds, counted as in
+/// [`BatchMinimizer::front_usage`].
+pub const FRONT_MAX_BYTES: usize = 1 << 20;
+
+/// What the query-text front keeps for one query text: the rendered
+/// minimized query and the two sizes a served answer reports.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FrontAnswer {
+    /// The minimized query, rendered as DSL text.
+    pub minimized: Box<str>,
+    /// Nodes in the query as parsed.
+    pub input_nodes: usize,
+    /// Nodes in the minimized query.
+    pub output_nodes: usize,
+}
+
+/// An engine's query-text front: one map per syntax from verbatim query
+/// text to its answer, and the bytes the entries account for.
+#[derive(Debug, Default)]
+struct Front {
+    texts: [FxHashMap<Box<str>, FrontAnswer>; 2],
+    bytes: usize,
+}
+
+impl Front {
+    /// The bytes one entry accounts for: its two texts plus the map
+    /// slot that holds them.
+    fn cost(text: &str, answer: &FrontAnswer) -> usize {
+        text.len() + answer.minimized.len() + std::mem::size_of::<(Box<str>, FrontAnswer)>()
+    }
+
+    fn entries(&self) -> usize {
+        self.texts.iter().map(FxHashMap::len).sum()
+    }
 }
 
 /// What one batch run did, beyond the per-query results.
@@ -221,7 +267,7 @@ impl BatchMinimizer {
 
     /// Build with an explicit strategy.
     pub fn with_strategy(ics: &ConstraintSet, strategy: Strategy) -> Self {
-        BatchMinimizer { closed: ics.closure(), strategy, cache: RwLock::new(FxHashMap::default()) }
+        Self::from_parts(ics.closure(), strategy)
     }
 
     /// Rebuild an engine from an **already-closed** constraint set,
@@ -232,7 +278,12 @@ impl BatchMinimizer {
     /// performs.
     pub fn from_parts(closed: ConstraintSet, strategy: Strategy) -> Self {
         debug_assert!(closed.is_closed(), "from_parts requires a closed constraint set");
-        BatchMinimizer { closed, strategy, cache: RwLock::new(FxHashMap::default()) }
+        BatchMinimizer {
+            closed,
+            strategy,
+            cache: RwLock::new(FxHashMap::default()),
+            front: RwLock::new(Front::default()),
+        }
     }
 
     /// Snapshot the canonical-pattern memo as `(key, minimized)` pairs,
@@ -271,9 +322,58 @@ impl BatchMinimizer {
         self.cache.read().expect("batch cache poisoned").len()
     }
 
-    /// Drop every memoized result (the closed constraint set stays).
+    /// Drop every memoized result and the query-text front (the closed
+    /// constraint set stays).
     pub fn clear_cache(&self) {
         self.cache.write().expect("batch cache poisoned").clear();
+        *self.front.write().expect("batch front poisoned") = Front::default();
+    }
+
+    /// The front's answer for the verbatim query `text` in `syntax`, if
+    /// it has one: a read-locked probe that parses, keys and renders
+    /// nothing. A hit bumps `batch.front.hit` and, since it stands for a
+    /// memo hit, `batch.cache.hit`.
+    ///
+    /// The front is keyed by text alone, because the engine fixes the
+    /// constraint set and strategy; like the memo, it is sound only when
+    /// every caller parses under one interner (see [`shared_engine`]).
+    pub fn front_probe(&self, syntax: Syntax, text: &str) -> Option<FrontAnswer> {
+        let hit = self.front.read().expect("batch front poisoned").texts[syntax as usize]
+            .get(text)
+            .cloned();
+        if hit.is_some() {
+            tpq_obs::incr("batch.front.hit", 1);
+            tpq_obs::incr("batch.cache.hit", 1);
+        }
+        hit
+    }
+
+    /// Remember `answer` as the front's answer for the verbatim query
+    /// `text` in `syntax`. A text the front already holds keeps its first
+    /// answer. A front that would pass [`FRONT_MAX_ENTRIES`] or
+    /// [`FRONT_MAX_BYTES`] starts over empty: the memo behind it still
+    /// answers, so the cost of a reset is one memo hit per text.
+    pub fn front_insert(&self, syntax: Syntax, text: &str, answer: FrontAnswer) {
+        let cost = Front::cost(text, &answer);
+        if cost > FRONT_MAX_BYTES {
+            return;
+        }
+        let mut front = self.front.write().expect("batch front poisoned");
+        if front.texts[syntax as usize].contains_key(text) {
+            return;
+        }
+        if front.entries() >= FRONT_MAX_ENTRIES || front.bytes + cost > FRONT_MAX_BYTES {
+            *front = Front::default();
+        }
+        front.bytes += cost;
+        front.texts[syntax as usize].insert(text.into(), answer);
+    }
+
+    /// The front's size as `(entries, bytes)`. An entry's bytes are its
+    /// query text, its rendered answer and its map slot.
+    pub fn front_usage(&self) -> (usize, usize) {
+        let front = self.front.read().expect("batch front poisoned");
+        (front.entries(), front.bytes)
     }
 
     /// Minimize one query through the memo cache (a one-element batch
@@ -667,14 +767,30 @@ pub fn seed_engine(ics: ConstraintSet, strategy: Strategy, engine: Arc<BatchMini
     entries.truncate(ENGINE_CACHE_CAPACITY);
 }
 
+/// The query-text fronts of every engine in the process-wide
+/// [`shared_engine`] LRU, summed as `(entries, bytes)`.
+pub fn shared_front_usage() -> (usize, usize) {
+    let entries = engine_cache().lock().expect("engine cache poisoned");
+    entries.iter().map(|e| e.engine.front_usage()).fold((0, 0), |(n, b), (en, eb)| (n + en, b + eb))
+}
+
 /// Empty the process-wide [`shared_engine`] LRU, which also holds the
 /// closed sets the one-shot [`crate::minimize_with`] uses (existing
-/// [`Arc`] holders keep their engines; only the cache forgets them). This
+/// [`Arc`] holders keep their engines; only the cache forgets them, and
+/// an engine nobody else holds goes with its memo and front). This
 /// is what a true cold start looks like; the warm-restart benchmarks and
 /// tests call it between server lifetimes so that in-process "restarts"
 /// measure the snapshot, not leftover process state.
 pub fn clear_shared_caches() {
     engine_cache().lock().expect("engine cache poisoned").clear();
+}
+
+/// Tests that empty or flood the process-wide engine table, and tests
+/// that need an entry to stay in it between two lookups, hold this lock.
+#[cfg(test)]
+pub(crate) fn engine_table_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 #[cfg(test)]
@@ -916,6 +1032,7 @@ mod tests {
 
     #[test]
     fn shared_engine_reuses_one_engine_per_key() {
+        let _table = engine_table_lock();
         let mut tys = TypeInterner::new();
         let ics = parse_constraints("Zebra -> Stripe", &mut tys).unwrap();
         let a = shared_engine(&ics, Strategy::CdmThenAcim);
@@ -936,6 +1053,7 @@ mod tests {
 
     #[test]
     fn text_lookup_parses_each_text_once_and_spellings_share_an_engine() {
+        let _table = engine_table_lock();
         let mut tys = TypeInterner::new();
         let mut lookup = |text: &str, strategy| {
             shared_engine_for_text(text, strategy, |t| parse_constraints(t, &mut tys))
@@ -970,6 +1088,86 @@ mod tests {
         // The set lookup reaches the same engine as the text lookups.
         let ics = parse_constraints(text, &mut tys).unwrap();
         assert!(Arc::ptr_eq(&first, &shared_engine(&ics, Strategy::CdmThenAcim)));
+    }
+
+    fn answer(minimized: &str) -> FrontAnswer {
+        FrontAnswer { minimized: minimized.into(), input_nodes: 3, output_nodes: 2 }
+    }
+
+    #[test]
+    fn the_front_answers_verbatim_texts_per_syntax() {
+        let (engine, _, _) = setup();
+        assert_eq!(engine.front_probe(Syntax::Dsl, "Article*[/Title]"), None);
+        engine.front_insert(Syntax::Dsl, "Article*[/Title]", answer("Article*"));
+        assert_eq!(engine.front_probe(Syntax::Dsl, "Article*[/Title]"), Some(answer("Article*")));
+        // The key is the verbatim text in its syntax: no re-spelling and
+        // no other syntax shares it.
+        assert_eq!(engine.front_probe(Syntax::Dsl, "Article*[ /Title]"), None);
+        assert_eq!(engine.front_probe(Syntax::Xpath, "Article*[/Title]"), None);
+        // A text keeps its first answer, and is counted once.
+        engine.front_insert(Syntax::Dsl, "Article*[/Title]", answer("Other"));
+        assert_eq!(engine.front_probe(Syntax::Dsl, "Article*[/Title]"), Some(answer("Article*")));
+        let (entries, bytes) = engine.front_usage();
+        assert_eq!(entries, 1);
+        assert_eq!(bytes, Front::cost("Article*[/Title]", &answer("Article*")));
+        // Clearing the memo clears the front with it.
+        engine.clear_cache();
+        assert_eq!(engine.front_usage(), (0, 0));
+        assert_eq!(engine.front_probe(Syntax::Dsl, "Article*[/Title]"), None);
+    }
+
+    #[test]
+    fn the_front_stays_within_its_bounds() {
+        let (engine, _, _) = setup();
+        for i in 0..FRONT_MAX_ENTRIES + 10 {
+            engine.front_insert(Syntax::Dsl, &format!("Q{i}*"), answer("Q*"));
+            let (entries, bytes) = engine.front_usage();
+            assert!(entries <= FRONT_MAX_ENTRIES && bytes <= FRONT_MAX_BYTES, "{i}");
+        }
+        // The entry cap was reached, so the front started over.
+        assert_eq!(engine.front_usage().0, 10);
+        assert_eq!(engine.front_probe(Syntax::Dsl, "Q0*"), None);
+        assert!(engine.front_probe(Syntax::Dsl, &format!("Q{}*", FRONT_MAX_ENTRIES + 9)).is_some());
+        // Long texts reach the byte cap first.
+        engine.clear_cache();
+        let long = "L".repeat(FRONT_MAX_BYTES / 8);
+        for i in 0..20 {
+            engine.front_insert(Syntax::Xpath, &format!("{long}{i}"), answer("L*"));
+            let (entries, bytes) = engine.front_usage();
+            assert!(entries <= 8 && bytes <= FRONT_MAX_BYTES, "{i}: {entries} {bytes}");
+        }
+        // A text larger than the whole budget is never kept.
+        engine.clear_cache();
+        engine.front_insert(Syntax::Dsl, &"H".repeat(FRONT_MAX_BYTES), answer("H*"));
+        assert_eq!(engine.front_usage(), (0, 0));
+    }
+
+    #[test]
+    fn clear_shared_caches_and_engine_eviction_drop_the_front() {
+        let _table = engine_table_lock();
+        let mut tys = TypeInterner::new();
+        let ics = parse_constraints("Lantern -> Wick", &mut tys).unwrap();
+        let filled = || {
+            let engine = shared_engine(&ics, Strategy::CdmThenAcim);
+            assert_eq!(engine.front_usage(), (0, 0), "a new engine starts with an empty front");
+            engine.front_insert(Syntax::Dsl, "Lantern*[/Wick]", answer("Lantern*"));
+            let again = shared_engine(&ics, Strategy::CdmThenAcim);
+            assert!(again.front_probe(Syntax::Dsl, "Lantern*[/Wick]").is_some());
+            assert!(shared_front_usage().0 >= 1, "the table's fronts include it");
+            Arc::downgrade(&engine)
+        };
+
+        let weak = filled();
+        clear_shared_caches();
+        assert!(weak.upgrade().is_none(), "the cleared table dropped the engine and its front");
+
+        let weak = filled();
+        for i in 0..ENGINE_CACHE_CAPACITY {
+            let other = parse_constraints(&format!("Lantern -> Glass{i}"), &mut tys).unwrap();
+            shared_engine(&other, Strategy::CdmThenAcim);
+        }
+        assert!(weak.upgrade().is_none(), "the evicted engine went with its front");
+        assert_eq!(shared_engine(&ics, Strategy::CdmThenAcim).front_usage(), (0, 0));
     }
 
     #[test]

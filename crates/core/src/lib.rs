@@ -78,8 +78,8 @@ pub mod stats;
 
 pub use batch::{
     clear_shared_caches, export_engines, probe_engine_text, seed_engine, shared_engine,
-    shared_engine_for_text, BatchMinimizer, BatchOutcome, BatchStats, CachedOutcome,
-    GuardedBatchOutcome,
+    shared_engine_for_text, shared_front_usage, BatchMinimizer, BatchOutcome, BatchStats,
+    CachedOutcome, FrontAnswer, GuardedBatchOutcome, FRONT_MAX_BYTES, FRONT_MAX_ENTRIES,
 };
 pub use cdm::{cdm, cdm_in_place_guarded};
 pub use chase::{augment_guarded, chase};

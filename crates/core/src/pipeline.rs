@@ -312,6 +312,7 @@ mod tests {
         // count is a floor, and the recompute count is the fewest seen
         // over a few windows, each on a constraint set of its own: three
         // calls that each closed the set would add 3 in every window.
+        let _table = crate::batch::engine_table_lock();
         tpq_obs::set_enabled(true);
         let (hits, recomputes) =
             (tpq_obs::counter("engine.cache.hit"), tpq_obs::counter("engine.recomputed"));
@@ -343,6 +344,7 @@ mod tests {
     fn every_strategy_shares_one_closure_per_constraint_set() {
         // Process-wide counters: take the fewest recomputes over a few
         // windows, each on a set of its own, as in the test above.
+        let _table = crate::batch::engine_table_lock();
         tpq_obs::set_enabled(true);
         let recomputes = tpq_obs::counter("engine.recomputed");
         let mut tys = TypeInterner::new();

@@ -4,8 +4,8 @@
 //! Counters say *how many*; the flight recorder says *what just
 //! happened*, one [`FlightRecord`] per completed request with its
 //! per-phase nanosecond breakdown (queue / parse / minimize / render),
-//! byte counts, outcome kind, and the cache-hit / shed / backpressure
-//! flags. The ring keeps the most recent
+//! byte counts, outcome kind, and the cache-hit / front-hit / shed /
+//! backpressure flags. The ring keeps the most recent
 //! [`capacity`](FlightRecorder::capacity) records; `tpq serve` drains it
 //! over the `TIMELINE` verb and dumps it to disk
 //! ([`FlightRecorder::dump`]) on a request panic or SIGUSR1.
@@ -65,8 +65,11 @@ pub struct FlightRecord {
     /// `"panic"`, `"overloaded"`, …).
     pub outcome: &'static str,
     /// Whether the minimization was answered from the canonical-pattern
-    /// memo cache.
+    /// memo cache (a front hit counts too).
     pub cache_hit: bool,
+    /// Whether the answer came from the engine's query-text front, which
+    /// parses, keys and renders nothing (implies `cache_hit`).
+    pub front_hit: bool,
     /// Whether the request was shed (admission queue, injected fault, or
     /// drain) instead of being processed.
     pub shed: bool,
@@ -101,6 +104,7 @@ impl FlightRecord {
             ("bytes_out", Json::Int(self.bytes_out as i64)),
             ("outcome", Json::Str(self.outcome.to_owned())),
             ("cache_hit", Json::Bool(self.cache_hit)),
+            ("front_hit", Json::Bool(self.front_hit)),
             ("shed", Json::Bool(self.shed)),
             ("backpressure", Json::Bool(self.backpressure)),
         ])
@@ -242,6 +246,7 @@ mod tests {
             bytes_out: 120,
             outcome,
             cache_hit: false,
+            front_hit: false,
             shed: false,
             backpressure: false,
         }
@@ -285,6 +290,7 @@ mod tests {
         assert_eq!(first.get("trace").and_then(Json::as_str), Some("000000000000002a"));
         let phases = first.get("phases_ns").unwrap();
         assert_eq!(phases.get("minimize").and_then(Json::as_i64), Some(30));
+        assert_eq!(first.get("front_hit").and_then(Json::as_bool), Some(false));
         let second = Json::parse(text.lines().nth(1).unwrap()).unwrap();
         assert_eq!(second.get("outcome").and_then(Json::as_str), Some("budget"));
     }

@@ -66,7 +66,10 @@ fn help_for(internal: &str) -> Option<&'static str> {
         "serve.request.ok" => "Requests answered successfully.",
         "serve.request.error" => "Requests answered with an error response.",
         "serve.request.inline" => {
-            "Requests answered on the reactor thread (memo hits and early errors), not the pool."
+            "Requests answered on the reactor thread (front hits, memo hits and early errors), not the pool."
+        }
+        "batch.front.hit" => {
+            "Requests answered from an engine's query-text front, without parse, key or render."
         }
         "serve.conn.accepted" => "Connections accepted.",
         "serve.conn.refused" => "Connections refused at the max-conns limit.",

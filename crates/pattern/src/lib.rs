@@ -31,3 +31,25 @@ pub use node::{EdgeKind, NodeId, PatternNode};
 pub use parse::{parse_pattern, MAX_BRACKET_DEPTH};
 pub use pattern::TreePattern;
 pub use xpath::parse_xpath;
+
+use tpq_base::{Result, TypeInterner};
+
+/// The two query syntaxes the crate parses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Syntax {
+    /// The pattern DSL (`Book*[/Title]//Section`), the default.
+    #[default]
+    Dsl,
+    /// The XPath subset (`//Book[Title]//Section`).
+    Xpath,
+}
+
+impl Syntax {
+    /// Parse `text` in this syntax, interning type names into `types`.
+    pub fn parse(self, text: &str, types: &mut TypeInterner) -> Result<TreePattern> {
+        match self {
+            Syntax::Dsl => parse_pattern(text, types),
+            Syntax::Xpath => parse_xpath(text, types),
+        }
+    }
+}

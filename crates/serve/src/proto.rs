@@ -75,20 +75,13 @@ use std::time::Duration;
 use tpq_base::{Error, Json};
 use tpq_core::Strategy;
 
+/// Query syntax selector for [`Request::syntax`].
+pub use tpq_pattern::Syntax;
+
 /// Upper bound on one request line (bytes), protecting the server from
 /// unbounded buffering. Longer lines are answered with a `bad-request`
 /// error and the connection is closed (framing can no longer be trusted).
 pub const DEFAULT_MAX_LINE_BYTES: usize = 1 << 20;
-
-/// Query syntax selector for [`Request::syntax`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Syntax {
-    /// The pattern DSL (`Book*[/Title]//Section`), the default.
-    #[default]
-    Dsl,
-    /// The XPath subset (`//Book[Title]//Section`).
-    Xpath,
-}
 
 /// One parsed minimization request.
 #[derive(Debug, Clone, Default)]

@@ -3,11 +3,14 @@
 //! One thread owns every socket. An edge-triggered
 //! [`Epoll`] instance multiplexes the listener, an
 //! [`EventFd`] wakeup, and one nonblocking stream
-//! per connection. An admitted request whose line is at most 4 KiB and
-//! that finds the process-wide interner free is *prepared* here — parsed,
-//! its engine found by the constraint-text probe, keyed and probed
-//! against the memo — and a memo hit (or a typed error) is answered on
-//! this thread. Neither minimization nor a constraint parse or closure
+//! per connection. An admitted request whose line is at most 4 KiB is
+//! *prepared* here: its line is parsed, its engine found by the
+//! constraint-text probe, and its query text probed against the engine's
+//! query-text front, all without the process-wide interner. A front hit
+//! is answered at once. On a front miss, a request that finds the
+//! interner free has its query parsed, keyed and probed against the
+//! memo, and a memo hit (or a typed error) is answered on this thread
+//! too. Neither minimization nor a constraint parse or closure
 //! ever runs here: memo misses, constraint texts the engine table does
 //! not know, longer lines and lines that meet a busy interner go to the
 //! shared [`TaskPool`](tpq_base::TaskPool) with
@@ -25,7 +28,7 @@
 //!                         │ per-conn  │  │ write     │        │ completion   │
 //!                         │ line FSM  │  │ queues    │        │ queue (Mutex)│
 //!                         └─────┬─────┘  └───────────┘        └───────▲──────┘
-//!     verbs, memo hits and      │ memo misses, new schema texts,      │
+//!   verbs, front and memo hits, │ memo misses, new schema texts,      │
 //!     early errors answered here│ long lines, a busy interner         │
 //!                         ┌─────▼─────────────────────────────────────┴──┐
 //!                         │        TaskPool (minimization workers)       │

@@ -1,7 +1,9 @@
 //! The TCP server: configuration, protocol semantics, shutdown.
 //!
 //! The socket side is the epoll reactor in [`crate::reactor`]: one
-//! thread multiplexes every socket and answers memo hits itself, while
+//! thread multiplexes every socket and answers memo hits itself (a
+//! textual repeat from the engine's query-text front, without parsing
+//! the query or taking the interner lock), while
 //! CPU-bound minimization fans out to the [`tpq_base::pool::TaskPool`],
 //! whose completions re-enter the reactor through an eventfd. `--jobs`
 //! bounds CPU concurrency independently of `--max-conns` (socket
@@ -34,11 +36,11 @@ use tpq_base::pool::{catch_panic, shielded, TaskPool};
 use tpq_base::{failpoint, Guard, Json, TypeInterner};
 use tpq_constraints::parse_constraints;
 use tpq_core::{
-    probe_engine_text, shared_engine_for_text, BatchMinimizer, CachedOutcome, MinimizeStats,
-    Strategy,
+    probe_engine_text, shared_engine_for_text, shared_front_usage, BatchMinimizer, CachedOutcome,
+    FrontAnswer, MinimizeStats, Strategy,
 };
 use tpq_pattern::print::to_dsl;
-use tpq_pattern::{parse_pattern, parse_xpath, CanonicalKey, TreePattern};
+use tpq_pattern::{CanonicalKey, TreePattern};
 
 /// Server tunables. `Default` gives a loopback development server.
 #[derive(Debug, Clone)]
@@ -571,6 +573,7 @@ fn stats_json(state: &ServerState) -> Json {
             ]),
         ),
         ("window", window_json(&state.window.snapshot())),
+        ("front", front_json()),
         (
             "flight",
             Json::object(vec![
@@ -584,6 +587,13 @@ fn stats_json(state: &ServerState) -> Json {
         ("events_dropped", Json::Int(tpq_obs::events_dropped() as i64)),
         ("obs", tpq_obs::report().to_json()),
     ])
+}
+
+/// The STATS `front` block: the query-text fronts of the engines in the
+/// process-wide engine table, summed.
+fn front_json() -> Json {
+    let (entries, bytes) = shared_front_usage();
+    Json::object(vec![("entries", Json::Int(entries as i64)), ("bytes", Json::Int(bytes as i64))])
 }
 
 /// The STATS `window` block: the rolling 60-second RED view. `seconds`
@@ -650,6 +660,7 @@ pub(crate) struct FlightDraft {
     bytes_in: u64,
     outcome: &'static str,
     cache_hit: bool,
+    front_hit: bool,
     shed: bool,
 }
 
@@ -669,6 +680,7 @@ impl FlightDraft {
             bytes_in: line_len as u64 + 1,
             outcome: error.kind,
             cache_hit: false,
+            front_hit: false,
             shed: true,
         }
     }
@@ -706,6 +718,7 @@ pub(crate) fn record_flight(
         bytes_out,
         outcome: draft.outcome,
         cache_hit: draft.cache_hit,
+        front_hit: draft.front_hit,
         shed: draft.shed,
         backpressure,
     });
@@ -739,14 +752,15 @@ fn rendered_len(json: &Json) -> u64 {
 }
 
 /// Request lines at most this long are prepared on the reactor thread
-/// (parsed, keyed and probed against the memo). Longer lines go to the
-/// pool unparsed, so that one huge query cannot stall every connection.
+/// (probed against the front, then parsed, keyed and probed against the
+/// memo). Longer lines go to the pool unparsed, so that one huge query
+/// cannot stall every connection.
 const INLINE_MAX_LINE: usize = 4 * 1024;
 
 /// What the reactor does with an admitted minimization request.
 pub(crate) enum Dispatch {
-    /// Answered on the reactor thread — a memo hit or a typed error:
-    /// send the response and finalize the flight draft.
+    /// Answered on the reactor thread — a front or memo hit or a typed
+    /// error: send the response and finalize the flight draft.
     Answered(Json, FlightDraft),
     /// Hand this to a pool worker.
     Pool(PoolJob),
@@ -783,8 +797,9 @@ pub(crate) struct StartedJob {
 
 /// What a request the reactor started still needs from a worker.
 enum Rest {
-    /// Its constraint text is not in the engine table: the worker runs
-    /// the whole request, parsing the text (and closing a new set).
+    /// Its constraint text is not in the engine table, or the interner
+    /// was busy: the worker runs the whole request, parsing the text (and
+    /// closing a new set).
     Line(String),
     /// A memo miss: minimization and render.
     Miss(MissWork),
@@ -834,6 +849,7 @@ impl Admitted {
             bytes_in: line.len() as u64 + 1,
             outcome: "ok",
             cache_hit: false,
+            front_hit: false,
             shed: false,
         };
         Admitted { t0, draft }
@@ -868,36 +884,27 @@ impl Admitted {
 
 /// Start one *admitted* minimization request. `t0` is its arrival time.
 ///
-/// A line of at most [`INLINE_MAX_LINE`] bytes that finds the
-/// process-wide interner free (`try_lock`) is started right here, on the
-/// reactor thread, behind the pool's panic shield ([`shielded`], which
-/// also passes the `pool.task` failpoint): [`prepare_inline`] finds the
-/// engine by the text probe alone, and a memo hit or a typed error is
-/// answered at once (`serve.request.inline`). A memo miss goes to the
-/// pool with its prepared query, and a constraint text the engine table
-/// does not know goes there whole, so that parsing and closing a new
-/// schema never stalls the reactor. Any other line goes to the pool
-/// unparsed: a worker holding the interner while it parses a huge line
-/// must never stall every connection. Either way, each request passes
-/// `pool.task` exactly once, and a panic anywhere in its work answers it
-/// with a `panic` error.
+/// A line of at most [`INLINE_MAX_LINE`] bytes is started right here, on
+/// the reactor thread, behind the pool's panic shield ([`shielded`],
+/// which also passes the `pool.task` failpoint): [`prepare_inline`]
+/// finds the engine by the text probe alone, and a front hit, a memo hit
+/// or a typed error is answered at once (`serve.request.inline`). A
+/// front hit takes no interner lock. A memo miss goes to the pool with
+/// its prepared query, and a constraint text the engine table does not
+/// know goes there whole, so that parsing and closing a new schema never
+/// stalls the reactor; so does a request that meets a busy interner. Any
+/// longer line goes to the pool unparsed: a worker holding the interner
+/// while it parses a huge line must never stall every connection.
+/// Either way, each request passes `pool.task` exactly once, and a panic
+/// anywhere in its work answers it with a `panic` error.
 pub(crate) fn start_request(state: &ServerState, line: &str, t0: Instant) -> Dispatch {
-    let pool = || Dispatch::Pool(PoolJob::Line { line: line.to_owned(), t0 });
     if line.len() > INLINE_MAX_LINE {
-        return pool();
+        return Dispatch::Pool(PoolJob::Line { line: line.to_owned(), t0 });
     }
-    let mut types = match global_types().try_lock() {
-        Ok(types) => types,
-        // The interner is append-only, so a panic mid-intern leaves it
-        // usable (as in `lock_types`).
-        Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
-        Err(TryLockError::WouldBlock) => return pool(),
-    };
     let mut req = Admitted::new(line, t0, 0);
     let _scope = tpq_obs::trace_scope(req.draft.trace);
-    let prepared = shielded(|| Ok(prepare_inline(state, line, &mut types, t0, &mut req.draft)))
+    let prepared = shielded(|| Ok(prepare_inline(state, line, t0, &mut req.draft)))
         .unwrap_or_else(|e| Err(ProtoError::from_error(&e)));
-    drop(types);
     let rest = match prepared {
         Ok(None) => Rest::Line(line.to_owned()),
         Ok(Some(Prepared::Miss(work))) => Rest::Miss(work),
@@ -983,31 +990,39 @@ fn with_trace(json: Json, trace: u64) -> Json {
 
 /// What the first half of a request found.
 enum Prepared {
-    /// The memo knew the query: the rendered response.
+    /// The front or the memo knew the query: the rendered response.
     Hit(Json),
-    /// The memo did not: the work left for the second half.
+    /// Neither did: the work left for the second half.
     Miss(MissWork),
+}
+
+/// A parsed query with the syntax and text it was parsed from, which
+/// key its engine's query-text front.
+struct ParsedQuery {
+    syntax: Syntax,
+    text: String,
+    pattern: TreePattern,
 }
 
 /// The prepared query of a memo miss, with its engine, guard and the
 /// canonical key its probe used.
 struct MissWork {
-    query: TreePattern,
+    query: ParsedQuery,
     engine: Arc<BatchMinimizer>,
     guard: Guard,
     key: CanonicalKey,
 }
 
-/// The first half of a request on the reactor thread, under `types`
-/// (the process-wide interner, held by the caller): parse the line, find
-/// the engine by [`probe_engine_text`] alone, then as [`prepare_query`].
-/// `None` when the engine table does not know the constraint text:
-/// parsing it, and closing a set the table does not hold, is left to a
-/// worker.
+/// The first half of a request on the reactor thread: parse the line,
+/// find the engine by [`probe_engine_text`] alone and probe its front
+/// ([`front_hit`]), all without the process-wide interner. On a front
+/// miss, take the interner with `try_lock` and go on as
+/// [`prepare_query`]. `None` when the engine table does not know the
+/// constraint text (parsing it, and closing a set the table does not
+/// hold, is left to a worker) or the interner is busy.
 fn prepare_inline(
     state: &ServerState,
     line: &str,
-    types: &mut TypeInterner,
     t0: Instant,
     draft: &mut FlightDraft,
 ) -> Result<Option<Prepared>, ProtoError> {
@@ -1017,13 +1032,23 @@ fn prepare_inline(
     let Some(engine) = probe_engine_text(&req.constraints, strategy) else {
         return Ok(None);
     };
-    prepare_query(state, &req, engine, types, t_parse, t0, draft).map(Some)
+    if let Some(json) = front_hit(&engine, &req, t_parse, t0, draft) {
+        return Ok(Some(Prepared::Hit(json)));
+    }
+    let mut types = match global_types().try_lock() {
+        Ok(types) => types,
+        // The interner is append-only, so a panic mid-intern leaves it
+        // usable (as in `lock_types`).
+        Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+        Err(TryLockError::WouldBlock) => return Ok(None),
+    };
+    prepare_query(state, req, engine, &mut types, t_parse, t0, draft).map(Some)
 }
 
 /// The first half of a request on a pool worker: parse the line, look
 /// the engine up by its constraint text (a text seen before skips the
-/// parse), then as [`prepare_query`]. The interner is held for each
-/// parse, not while a new set is closed.
+/// parse), probe its front ([`front_hit`]), then as [`prepare_query`].
+/// The interner is held for each parse, not while a new set is closed.
 fn prepare(
     state: &ServerState,
     line: &str,
@@ -1039,31 +1064,60 @@ fn prepare(
         parse_constraints(text, &mut lock_types())
     })
     .map_err(|e| ProtoError::from_error(&e))?;
-    prepare_query(state, &req, engine, &mut lock_types(), t_parse, t0, draft)
+    if let Some(json) = front_hit(&engine, &req, t_parse, t0, draft) {
+        return Ok(Prepared::Hit(json));
+    }
+    prepare_query(state, req, engine, &mut lock_types(), t_parse, t0, draft)
 }
 
-/// The rest of the first half, once the engine is found: parse the query
-/// under `types`, key it and probe the memo. A hit is rendered at once.
-/// Writes the phase times (parse from `t_parse`), the strategy and the
-/// cache outcome into `draft`.
+/// The memo-hit response for `req` from its engine's query-text front,
+/// if the front holds the query's text: one probe, and no parse, key or
+/// render. Writes the phase times (parse from `t_parse`, the probe as
+/// minimize), the strategy and both hit flags into `draft`.
+fn front_hit(
+    engine: &BatchMinimizer,
+    req: &Request,
+    t_parse: Instant,
+    t0: Instant,
+    draft: &mut FlightDraft,
+) -> Option<Json> {
+    let parse_ns = t_parse.elapsed().as_nanos() as u64;
+    let t_probe = Instant::now();
+    let answer = engine.front_probe(req.syntax, &req.query)?;
+    draft.minimize_ns = t_probe.elapsed().as_nanos() as u64;
+    draft.parse_ns = parse_ns;
+    draft.strategy = strategy_name(engine.strategy());
+    draft.cache_hit = true;
+    draft.front_hit = true;
+    Some(success_response(
+        answer.minimized.into(),
+        answer.input_nodes,
+        answer.output_nodes,
+        true,
+        &MinimizeStats::default(),
+        t0.elapsed(),
+    ))
+}
+
+/// The rest of the first half, once the engine is found and its front
+/// missed: parse the query under `types`, key it and probe the memo. A
+/// hit is rendered at once. Writes the phase times (parse from
+/// `t_parse`), the strategy and the cache outcome into `draft`.
 fn prepare_query(
     state: &ServerState,
-    req: &Request,
+    req: Request,
     engine: Arc<BatchMinimizer>,
     types: &mut TypeInterner,
     t_parse: Instant,
     t0: Instant,
     draft: &mut FlightDraft,
 ) -> Result<Prepared, ProtoError> {
-    let query = match req.syntax {
-        Syntax::Dsl => parse_pattern(&req.query, types),
-        Syntax::Xpath => parse_xpath(&req.query, types),
-    }
-    .map_err(|e| ProtoError::from_error(&e))?;
+    let pattern = req.syntax.parse(&req.query, types).map_err(|e| ProtoError::from_error(&e))?;
+    let query = ParsedQuery { syntax: req.syntax, text: req.query, pattern };
     draft.parse_ns = t_parse.elapsed().as_nanos() as u64;
     draft.strategy = strategy_name(engine.strategy());
     let t_min = Instant::now();
-    let key = query.canonical_key();
+    let key = query.pattern.canonical_key();
     let hit = engine.probe(&key);
     draft.minimize_ns = t_min.elapsed().as_nanos() as u64;
     let Some(pattern) = hit else {
@@ -1077,7 +1131,7 @@ fn prepare_query(
         return Ok(Prepared::Miss(MissWork { query, engine, guard: builder.build(), key }));
     };
     let out = CachedOutcome { pattern, cache_hit: true, stats: MinimizeStats::default() };
-    Ok(Prepared::Hit(respond(&query, &out, types, t0, draft)))
+    Ok(Prepared::Hit(respond(&engine, &query, &out, types, t0, draft)))
 }
 
 /// The second half of a request whose memo probe missed: minimize under
@@ -1086,16 +1140,18 @@ fn run_miss(work: MissWork, t0: Instant, draft: &mut FlightDraft) -> Result<Json
     let t_min = Instant::now();
     let out = work
         .engine
-        .minimize_miss(&work.query, work.key, &work.guard)
+        .minimize_miss(&work.query.pattern, work.key, &work.guard)
         .map_err(|e| ProtoError::from_error(&e))?;
     draft.minimize_ns += t_min.elapsed().as_nanos() as u64;
-    Ok(respond(&work.query, &out, &lock_types(), t0, draft))
+    Ok(respond(&work.engine, &work.query, &out, &lock_types(), t0, draft))
 }
 
 /// Render a minimized query into the success response, timing the render
-/// and noting the cache outcome in `draft`.
+/// and noting the cache outcome in `draft`, and remember the answer in
+/// `engine`'s front under the query's text.
 fn respond(
-    query: &TreePattern,
+    engine: &BatchMinimizer,
+    query: &ParsedQuery,
     out: &CachedOutcome,
     types: &TypeInterner,
     t0: Instant,
@@ -1105,14 +1161,10 @@ fn respond(
     let t_render = Instant::now();
     let minimized = to_dsl(&out.pattern, types);
     draft.render_ns = t_render.elapsed().as_nanos() as u64;
-    success_response(
-        minimized,
-        query.size(),
-        out.pattern.size(),
-        out.cache_hit,
-        &out.stats,
-        t0.elapsed(),
-    )
+    let (input_nodes, output_nodes) = (query.pattern.size(), out.pattern.size());
+    let answer = FrontAnswer { minimized: minimized.as_str().into(), input_nodes, output_nodes };
+    engine.front_insert(query.syntax, &query.text, answer);
+    success_response(minimized, input_nodes, output_nodes, out.cache_hit, &out.stats, t0.elapsed())
 }
 
 #[cfg(test)]

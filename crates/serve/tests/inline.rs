@@ -1,10 +1,11 @@
-//! The reactor's inline path: memo hits (and early errors) are answered
-//! on the reactor thread, misses and long lines go to the pool, and the
-//! engine is looked up by the raw constraint text.
+//! The reactor's inline path: front hits, memo hits (and early errors)
+//! are answered on the reactor thread, misses and long lines go to the
+//! pool, and the engine is looked up by the raw constraint text.
 //!
 //! Kept in their own test binary (own process): the tests read the
-//! process-wide `serve.request.inline` counter and arm the process-wide
-//! `parse.constraints` failpoint, so they serialize on one lock.
+//! process-wide `serve.request.inline` and `batch.front.hit` counters and
+//! arm the process-wide `parse.constraints` and `parse.pattern`
+//! failpoints, so they serialize on one lock.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -12,6 +13,7 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use tpq_base::failpoint::{self, Action};
 use tpq_base::Json;
+use tpq_core::{probe_engine_text, Strategy, FRONT_MAX_BYTES, FRONT_MAX_ENTRIES};
 use tpq_serve::{global_types, ServeConfig, ServeHandle, ServeSummary, Server};
 
 fn serial() -> MutexGuard<'static, ()> {
@@ -71,16 +73,43 @@ fn inline_count() -> u64 {
     tpq_obs::counter("serve.request.inline").get()
 }
 
-/// The queue phase of the newest flight record: 0 for a request the
-/// reactor answered itself, the pool wait otherwise.
-fn last_queue_ns(conn: &mut BufReader<TcpStream>) -> i64 {
+fn front_hits() -> u64 {
+    tpq_obs::counter("batch.front.hit").get()
+}
+
+/// A response without the fields that differ between two answers to one
+/// query: the server's `micros` and the per-request `trace`.
+fn without_timing(response: &Json) -> Json {
+    let Json::Object(members) = response else { panic!("not an object: {response:?}") };
+    let members = members
+        .iter()
+        .filter(|(k, _)| k != "trace")
+        .map(|(k, v)| match (k.as_str(), v) {
+            ("stats", Json::Object(stats)) => (
+                k.clone(),
+                Json::Object(stats.iter().filter(|(f, _)| f != "micros").cloned().collect()),
+            ),
+            _ => (k.clone(), v.clone()),
+        })
+        .collect();
+    Json::Object(members)
+}
+
+/// The newest flight record.
+fn last_record(conn: &mut BufReader<TcpStream>) -> Json {
     writeln!(conn.get_mut(), "TIMELINE 1").expect("write");
     let mut record = String::new();
     conn.read_line(&mut record).expect("read record");
     let mut eof = String::new();
     conn.read_line(&mut eof).expect("read EOF");
     assert_eq!(eof.trim_end(), "# EOF");
-    let record = Json::parse(record.trim_end()).expect("record JSON");
+    Json::parse(record.trim_end()).expect("record JSON")
+}
+
+/// The queue phase of the newest flight record: 0 for a request the
+/// reactor answered itself, the pool wait otherwise.
+fn last_queue_ns(conn: &mut BufReader<TcpStream>) -> i64 {
+    let record = last_record(conn);
     record
         .get("phases_ns")
         .and_then(|p| p.get("queue"))
@@ -168,14 +197,17 @@ fn a_line_over_the_inline_cap_is_answered_through_the_pool() {
 
 /// A request that meets a busy interner goes to the pool instead of
 /// blocking the reactor: while the test holds the interner, the reactor
-/// still answers other connections.
+/// still answers other connections. The request re-spells the warmed
+/// query, so it is a memo hit but misses the query-text front, and needs
+/// the interner to parse.
 #[test]
 fn a_busy_interner_sends_the_request_to_the_pool() {
     let _serial = serial();
     let (addr, handle, thread) = start();
     let mut conn = connect(addr);
-    let line = request("BusyA*[/BusyB][/BusyB]", "");
-    assert_eq!(minimized(&round_trip(&mut conn, &line)), "BusyA*/BusyB");
+    let warm = request("BusyA*[/BusyB][/BusyB]", "");
+    assert_eq!(minimized(&round_trip(&mut conn, &warm)), "BusyA*/BusyB");
+    let line = request("BusyA*[/BusyB]/BusyB", "");
     let before = inline_count();
 
     let types = global_types().lock().expect("interner");
@@ -288,4 +320,117 @@ fn a_panic_on_the_reactor_answers_its_request_and_the_server_carries_on() {
     handle.shutdown();
     let summary = thread.join().unwrap();
     assert_eq!((summary.requests_ok, summary.requests_failed), (2, 1));
+}
+
+/// A textual repeat is answered from the engine's query-text front: its
+/// query is not parsed again (the armed `parse.pattern` failpoint would
+/// panic that parse), and its response is the memo hit's apart from
+/// `micros` and `trace`.
+#[test]
+fn a_textual_repeat_is_answered_from_the_front() {
+    let _serial = serial();
+    let (addr, handle, thread) = start();
+    let mut conn = connect(addr);
+    let schema = "FrA -> FrC";
+    let line = request("FrA*[/FrB][/FrB][/FrC]", schema);
+    // An isomorphic re-spelling: a memo hit, but not the same text.
+    let respelled = request("FrA*[/FrC][/FrB]/FrB", schema);
+    let miss = round_trip(&mut conn, &line);
+    assert_eq!((minimized(&miss), cache_hit(&miss)), ("FrA*/FrB", false));
+    let (hits, inline) = (front_hits(), inline_count());
+    let memo_hit = round_trip(&mut conn, &respelled);
+    assert!(cache_hit(&memo_hit));
+    assert_eq!(front_hits(), hits, "a re-spelling misses the front");
+    assert_eq!(last_record(&mut conn).get("front_hit"), Some(&Json::Bool(false)));
+
+    let fp = failpoint::arm("parse.pattern", Action::Panic, 1);
+    let repeat = round_trip(&mut conn, &line);
+    assert_eq!(front_hits(), hits + 1, "the repeat was a front hit: {repeat:?}");
+    assert_eq!(inline_count(), inline + 2, "both hits were answered on the reactor thread");
+    assert_eq!(without_timing(&repeat), without_timing(&memo_hit));
+    let record = last_record(&mut conn);
+    assert_eq!(record.get("front_hit"), Some(&Json::Bool(true)), "{record:?}");
+    assert_eq!(record.get("cache_hit"), Some(&Json::Bool(true)), "{record:?}");
+    // The memo hit filled the front for its own text too.
+    let again = round_trip(&mut conn, &respelled);
+    assert_eq!(without_timing(&again), without_timing(&memo_hit));
+    assert_eq!(front_hits(), hits + 2);
+    drop(fp);
+
+    drop(conn);
+    handle.shutdown();
+    let summary = thread.join().unwrap();
+    assert_eq!((summary.requests_ok, summary.requests_failed), (4, 0));
+}
+
+/// A front hit needs no interner, so it is answered on the reactor thread
+/// while another thread holds the interner.
+#[test]
+fn a_front_hit_is_answered_while_the_interner_is_held() {
+    let _serial = serial();
+    let (addr, handle, thread) = start();
+    let mut conn = connect(addr);
+    let line = request("HeldA*[/HeldB][/HeldB]", "");
+    assert_eq!(minimized(&round_trip(&mut conn, &line)), "HeldA*/HeldB");
+
+    let before = inline_count();
+    let types = global_types().lock().expect("interner");
+    let hit = round_trip(&mut conn, &line);
+    assert_eq!(minimized(&hit), "HeldA*/HeldB");
+    assert!(cache_hit(&hit));
+    assert_eq!(inline_count(), before + 1, "answered on the reactor thread");
+    assert_eq!(last_queue_ns(&mut conn), 0, "an inline answer never queues");
+    drop(types);
+
+    drop(conn);
+    handle.shutdown();
+    thread.join().unwrap();
+}
+
+/// A flood of more distinct query texts than one front holds is answered
+/// correctly, and the engine's front never passes its entry or byte cap.
+#[test]
+fn a_flood_of_distinct_texts_keeps_the_front_within_its_bounds() {
+    let _serial = serial();
+    let (addr, handle, thread) = start();
+    let mut conn = connect(addr);
+    let schema = "FloodA -> FloodZ";
+    let texts = FRONT_MAX_ENTRIES + 200;
+    let usage = || {
+        probe_engine_text(schema, Strategy::default()).expect("the schema's engine").front_usage()
+    };
+    // Pipeline the requests in chunks well under the admission queue.
+    const CHUNK: usize = 64;
+    for start in (0..texts).step_by(CHUNK) {
+        let ids = start..(start + CHUNK).min(texts);
+        let mut lines = String::new();
+        for i in ids.clone() {
+            lines.push_str(&request(&format!("Fl{i}*[/FloodB][/FloodB]"), schema));
+            lines.push('\n');
+        }
+        conn.get_mut().write_all(lines.as_bytes()).expect("write");
+        for i in ids {
+            let mut response = String::new();
+            conn.read_line(&mut response).expect("read");
+            let response = Json::parse(response.trim_end()).expect("response JSON");
+            assert_eq!(minimized(&response), format!("Fl{i}*/FloodB"));
+        }
+        let (entries, bytes) = usage();
+        assert!(entries <= FRONT_MAX_ENTRIES, "{entries} entries");
+        assert!(bytes <= FRONT_MAX_BYTES, "{bytes} bytes");
+    }
+    let (entries, _) = usage();
+    assert!(entries < texts, "the front started over at its cap: {entries}");
+    let stats = round_trip(&mut conn, "STATS");
+    let front = stats.get("front").unwrap_or_else(|| panic!("no front block: {stats:?}"));
+    assert!(front.get("entries").and_then(Json::as_i64).is_some_and(|n| n > 0), "{front:?}");
+    assert!(front.get("bytes").and_then(Json::as_i64).is_some_and(|n| n > 0), "{front:?}");
+    // The first text left the front, and the memo still answers it.
+    let first = round_trip(&mut conn, &request("Fl0*[/FloodB][/FloodB]", schema));
+    assert_eq!(minimized(&first), "Fl0*/FloodB");
+    assert!(cache_hit(&first));
+
+    drop(conn);
+    handle.shutdown();
+    thread.join().unwrap();
 }

@@ -4,8 +4,10 @@
 //! The patterns come from the random-pattern draws of the matcher's
 //! differential battery (`crates/match/tests/differential.rs`), the
 //! constraints from a small pool of random sets, and every request runs
-//! under each of the four strategies. Every answer must equal offline
-//! `minimize_closed_guarded` on the closed set. "Equal" is up to
+//! under each of the four strategies. Every request is sent twice, so the
+//! repeat is answered from the engine's query-text front. Every answer
+//! must equal offline `minimize_closed_guarded` on the closed set, and a
+//! repeat must be a hit with the first answer's text. "Equal" is up to
 //! isomorphism: the server's memo answers a query with the minimization
 //! of the first isomorphic query it saw, whose siblings may print in a
 //! different order (minimal queries are unique up to isomorphism,
@@ -107,8 +109,10 @@ fn banner(child: &mut Child) -> (String, Vec<String>) {
     }
 }
 
-/// Replay `requests` on one connection, check each answer against the
-/// offline one, then shut the server down. Returns the memo hits.
+/// Replay `requests` on one connection, each twice in a row, check each
+/// answer against the offline one and each repeat against the first
+/// answer, then shut the server down. Returns the memo hits among the
+/// first sends.
 fn replay_and_check(requests: &[Request], addr: &str, child: &mut Child, label: &str) -> usize {
     let stream = TcpStream::connect(addr).expect("connect to serve");
     stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
@@ -128,14 +132,21 @@ fn replay_and_check(requests: &[Request], addr: &str, child: &mut Child, label: 
             ("constraints", Json::Str(ics.clone())),
             ("strategy", Json::Str(strategy.to_string())),
         ]);
-        let response = round_trip(&request.to_string_compact());
+        let line = request.to_string_compact();
+        let response = round_trip(&line);
         let ctx = format!("{label} {strategy} {query:?} under {ics:?}: {response:?}");
-        let served = response.get("minimized").and_then(Json::as_str).expect(&ctx);
-        let served = parse_pattern(served, &mut types).expect(&ctx);
+        let text = response.get("minimized").and_then(Json::as_str).expect(&ctx);
+        let served = parse_pattern(text, &mut types).expect(&ctx);
         let want = offline(query, ics, strategy, &mut types);
         assert!(isomorphic(&served, &want), "{ctx}, offline {}", to_dsl(&want, &types));
-        let stats = response.get("stats").expect(&ctx);
-        hits += usize::from(stats.get("cache_hit").and_then(Json::as_bool).expect(&ctx));
+        let cache_hit = |response: &Json| {
+            response.get("stats").and_then(|s| s.get("cache_hit")).and_then(Json::as_bool)
+        };
+        hits += usize::from(cache_hit(&response).expect(&ctx));
+        let repeat = round_trip(&line);
+        let ctx = format!("{ctx}, repeated: {repeat:?}");
+        assert_eq!(repeat.get("minimized").and_then(Json::as_str), Some(text), "{ctx}");
+        assert_eq!(cache_hit(&repeat), Some(true), "{ctx}");
     }
     writeln!(conn.get_mut(), "SHUTDOWN").unwrap();
     assert!(child.wait().expect("serve exits").success(), "{label}: serve should exit 0");
