@@ -162,7 +162,7 @@ impl<'a> ContainmentUnder<'a> {
             // never to IC-implied structure.
             return Ok(false);
         }
-        if !self.q2.node(w).conditions.is_empty() {
+        if !self.q2.conditions(w).is_empty() {
             // ICs guarantee existence by type only; they say nothing about
             // attribute values, so a conditioned node cannot be discharged.
             return Ok(false);
@@ -176,8 +176,7 @@ impl<'a> ContainmentUnder<'a> {
             EdgeKind::Child => self.closed.required_children_of(basis).to_vec(),
             EdgeKind::Descendant => self.closed.required_descendants_of(basis).to_vec(),
         };
-        let children: Vec<NodeId> =
-            self.q2.node(w).children.iter().copied().filter(|&c| self.q2.is_alive(c)).collect();
+        let children: Vec<NodeId> = self.q2.children(w).collect();
         let mut ok = false;
         'witness: for s in witnesses {
             if !self.covers(s, &need) {
@@ -253,16 +252,15 @@ impl<'a> ContainmentUnder<'a> {
                             .iter()
                             .all(|t| self.node_has_type(&self.q1.node(u).types, t))
                         && tpq_pattern::condition::entails(
-                            &self.q1.node(u).conditions,
-                            &self.q2.node(v).conditions,
+                            self.q1.conditions(u),
+                            self.q2.conditions(v),
                         )
                 })
                 .collect();
         }
         for v in self.q2.post_order() {
             guard.check()?;
-            let children: Vec<NodeId> =
-                self.q2.node(v).children.iter().copied().filter(|&c| self.q2.is_alive(c)).collect();
+            let children: Vec<NodeId> = self.q2.children(v).collect();
             if children.is_empty() {
                 continue;
             }

@@ -32,9 +32,8 @@ fn is_locally_redundant(q: &TreePattern, closed: &ConstraintSet, l: NodeId) -> b
     // Value-based conditions (Section 7): IC-based removals need a
     // condition-free leaf; co-occurrence witnesses must entail the leaf's
     // conditions.
-    let unconditioned = q.node(l).conditions.is_empty();
-    let entailed_by =
-        |w: NodeId| tpq_pattern::condition::entails(&q.node(w).conditions, &q.node(l).conditions);
+    let unconditioned = q.conditions(l).is_empty();
+    let entailed_by = |w: NodeId| tpq_pattern::condition::entails(q.conditions(w), q.conditions(l));
     match q.node(l).edge {
         EdgeKind::Child => {
             // Condition (i): t1 -> t2.
@@ -43,7 +42,7 @@ fn is_locally_redundant(q: &TreePattern, closed: &ConstraintSet, l: NodeId) -> b
             }
             // Condition (iii): another c-child of v of a type co-occurring
             // with t2.
-            q.node(v).children.iter().copied().filter(|&c| c != l && q.is_alive(c)).any(|c| {
+            q.children(v).filter(|&c| c != l).any(|c| {
                 q.node(c).edge == EdgeKind::Child
                     && closed.has_cooccurrence(q.node(c).primary, t2)
                     && entailed_by(c)
@@ -67,14 +66,13 @@ fn is_locally_redundant(q: &TreePattern, closed: &ConstraintSet, l: NodeId) -> b
 
 fn descendants_except(q: &TreePattern, v: NodeId, skip: NodeId) -> Vec<NodeId> {
     let mut out = Vec::new();
-    let mut stack: Vec<NodeId> =
-        q.node(v).children.iter().copied().filter(|&c| q.is_alive(c)).collect();
+    let mut stack: Vec<NodeId> = q.children(v).collect();
     while let Some(n) = stack.pop() {
         if n == skip {
             continue;
         }
         out.push(n);
-        stack.extend(q.node(n).children.iter().copied().filter(|&c| q.is_alive(c)));
+        stack.extend(q.children(n));
     }
     out
 }

@@ -59,9 +59,10 @@ impl PatIndex {
                     pre[id.index()] = pre_c;
                     pre_c += 1;
                     stack.push(Step::Exit(id));
-                    for &c in p.node(id).children.iter().rev() {
-                        stack.push(Step::Enter(c));
-                    }
+                    // Reversed so that the children pop in insertion order.
+                    let first = stack.len();
+                    stack.extend(p.children(id).map(Step::Enter));
+                    stack[first..].reverse();
                 }
                 Step::Exit(id) => {
                     post[id.index()] = post_c;
@@ -96,7 +97,7 @@ impl PatIndex {
 pub(crate) fn node_compatible(from: &TreePattern, v: NodeId, to: &TreePattern, u: NodeId) -> bool {
     (!from.node(v).output || to.node(u).output)
         && to.node(u).types.is_superset(&from.node(v).types)
-        && tpq_pattern::condition::entails(&to.node(u).conditions, &from.node(v).conditions)
+        && tpq_pattern::condition::entails(to.conditions(u), from.conditions(v))
 }
 
 /// Alive, non-temporary children of `v` — the homomorphism *domain* side.
@@ -108,7 +109,7 @@ pub(crate) fn node_compatible(from: &TreePattern, v: NodeId, to: &TreePattern, u
 /// wrongly block removals (an original node whose only children are temps
 /// must be removable by mapping onto a temp, which has no children).
 pub(crate) fn original_children(q: &TreePattern, v: NodeId) -> Vec<NodeId> {
-    q.node(v).children.iter().copied().filter(|&c| q.is_alive(c) && !q.node(c).temporary).collect()
+    q.children(v).filter(|&c| !q.node(c).temporary).collect()
 }
 
 /// Compute the pruned candidate sets ("images") for a homomorphism
@@ -395,7 +396,7 @@ mod tests {
         let from = p("Org*/Employee", &mut tys);
         let mut to = p("Org*/PermEmp", &mut tys);
         let emp = tys.lookup("Employee").unwrap();
-        let perm_node = to.node(to.root()).children[0];
+        let perm_node = to.children(to.root()).next().unwrap();
         to.node_mut(perm_node).types.insert(emp);
         assert!(has_homomorphism(&from, &to, &Guard::unlimited()).unwrap());
         assert!(has_homomorphism_naive(&from, &to));

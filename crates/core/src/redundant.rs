@@ -151,8 +151,7 @@ where
                 continue;
             }
             if redundant_leaf(&work, l) {
-                let temps: Vec<NodeId> =
-                    work.node(l).children.iter().copied().filter(|&c| work.is_alive(c)).collect();
+                let temps: Vec<NodeId> = work.children(l).collect();
                 for t in temps {
                     work.remove_subtree(t).expect("temp subtree is removable");
                 }
@@ -205,7 +204,7 @@ mod tests {
         // Dept*[//DBProject]//Manager//DBProject: the bare DBProject branch
         // is subsumed by the Manager//DBProject branch.
         let q = p("Dept*[//DBProject]//Manager//DBProject", &mut tys);
-        let branch_leaf = q.node(q.root()).children[0];
+        let branch_leaf = q.children(q.root()).next().unwrap();
         assert!(q.node(branch_leaf).is_leaf());
         assert!(redundant_leaf(&q, branch_leaf));
         assert!(redundant_reference(&q, branch_leaf));
@@ -221,7 +220,7 @@ mod tests {
         // a*[/b]//b : the c-child b is NOT redundant (c-edge is stricter),
         // but the d-child b IS (the c-child witnesses it).
         let q = p("a*[/b]//b", &mut tys);
-        let kids = q.node(q.root()).children.clone();
+        let kids = q.children(q.root()).collect::<Vec<_>>();
         let (c_leaf, d_leaf) = (kids[0], kids[1]);
         assert!(!redundant_leaf(&q, c_leaf));
         assert!(redundant_leaf(&q, d_leaf));
@@ -234,7 +233,7 @@ mod tests {
         let mut tys = TypeInterner::new();
         // a*[/b]/b/c : the leaf b (left) maps onto the internal b (right).
         let q = p("a*[/b]/b/c", &mut tys);
-        let kids = q.node(q.root()).children.clone();
+        let kids = q.children(q.root()).collect::<Vec<_>>();
         let b_leaf = kids[0];
         assert!(q.node(b_leaf).is_leaf());
         assert!(redundant_leaf(&q, b_leaf));
@@ -265,8 +264,8 @@ mod tests {
         // Articles/Article*[//Paragraph]//Section//Paragraph (Fig 2(b)-ish):
         // the shallow Paragraph is redundant via the deep one.
         let q = p("Articles/Article*[//Paragraph]//Section//Paragraph", &mut tys);
-        let article = q.node(q.root()).children[0];
-        let shallow = q.node(article).children[0];
+        let article = q.children(q.root()).next().unwrap();
+        let shallow = q.children(article).next().unwrap();
         assert!(redundant_leaf(&q, shallow));
         assert!(redundant_reference(&q, shallow));
         let deep = leaf_named(&q, &tys, "Paragraph");

@@ -229,13 +229,14 @@ impl<'a> Matcher<'a> {
             let node = pattern.node(v);
             let mut row = types.and_of(&node.types);
             guard.spend(words * node.types.len() as u64)?;
-            if !node.conditions.is_empty() {
+            let conditions = pattern.conditions(v);
+            if !conditions.is_empty() {
                 let seen = retain(&mut row, |u| {
-                    condition::satisfied_by(&node.conditions, doc.attrs(DataNodeId(u)))
+                    condition::satisfied_by(conditions, doc.attrs(DataNodeId(u)))
                 });
                 guard.spend(seen)?;
             }
-            for &w in node.children.iter().filter(|&&w| pattern.is_alive(w)) {
+            for w in pattern.children(v) {
                 let below = &cand[w.index()];
                 let seen = match pattern.node(w).edge {
                     EdgeKind::Descendant => {
@@ -345,10 +346,7 @@ impl<'a> Matcher<'a> {
         for v in self.pattern.post_order() {
             let cand_v = &cand[v.index()];
             let mut counts = vec![1u64; cand_v.len()];
-            for &w in &self.pattern.node(v).children {
-                if !self.pattern.is_alive(w) {
-                    continue;
-                }
+            for w in self.pattern.children(v) {
                 let below = &cand[w.index()];
                 let below_counts = &count[w.index()];
                 match self.pattern.node(w).edge {
@@ -594,7 +592,7 @@ mod tests {
         let mut tys = TypeInterner::new();
         let mut p = parse_pattern("Org*/Employee", &mut tys).unwrap();
         let person = tys.intern("Person");
-        let emp_node = p.node(p.root()).children[0];
+        let emp_node = p.children(p.root()).next().unwrap();
         p.node_mut(emp_node).types.insert(person);
         let d = parse_xml(r#"<Org><Employee/><Employee also="Person"/></Org>"#, &mut tys).unwrap();
         let m = build(&p, &d);

@@ -93,7 +93,10 @@ fn enumerate<F: FnMut(&[Option<DataNodeId>])>(
         for u in ctx.doc.ids() {
             ctx.guard.spend(1)?;
             if !ctx.doc.has_types(u, &node.types)
-                || !tpq_pattern::condition::satisfied_by(&node.conditions, ctx.doc.attrs(u))
+                || !tpq_pattern::condition::satisfied_by(
+                    ctx.pattern.conditions(v),
+                    ctx.doc.attrs(u),
+                )
             {
                 continue;
             }

@@ -40,7 +40,7 @@ fn decorate(pattern: &mut TreePattern, doc: &mut Document, num_types: usize, rng
             } else {
                 Condition::new(attr, Cmp::Eq, Value::Str("x".into()))
             };
-            pattern.node_mut(v).conditions.push(cond);
+            pattern.add_condition(v, cond);
         }
     }
     for u in doc.ids().collect::<Vec<_>>() {
@@ -230,7 +230,7 @@ fn mixed_exact_and_filtered_members_of_one_stream_agree() {
         // so its row is the AND of two type rows.
         for extra in [TypeId(0), TypeId(2)] {
             let mut p = parse_pattern("t0*[//t1][//t1][/t1]", &mut tys).unwrap();
-            let kids = p.node(p.root()).children.clone();
+            let kids = p.children(p.root()).collect::<Vec<_>>();
             p.node_mut(kids[rng.gen_range(0..kids.len())]).types.insert(extra);
             total += agree(&p, &doc, &format!("seed {seed}: t0*[//t1][//t1][/t1] +{extra:?}"));
         }
@@ -434,7 +434,7 @@ fn boundary_patterns(tys: &mut TypeInterner) -> Vec<TreePattern> {
     .map(|q| parse_pattern(q, tys).unwrap())
     .collect();
     let mut multi = parse_pattern("t0*//t1[/t2]", tys).unwrap();
-    let t1 = multi.node(multi.root()).children[0];
+    let t1 = multi.children(multi.root()).next().unwrap();
     multi.node_mut(t1).types.insert(TypeId(2));
     patterns.push(multi);
     patterns
@@ -528,7 +528,7 @@ fn type_ids_near_u32_max_agree_with_naive() {
         ("t0*/t0", [absent, huge]),
     ] {
         let mut p = parse_pattern(q, &mut tys).unwrap();
-        let child = p.node(p.root()).children[0];
+        let child = p.children(p.root()).next().unwrap();
         let root = p.root();
         p.node_mut(root).types = TypeSet::singleton(types[0]);
         p.node_mut(child).types = TypeSet::singleton(types[1]);

@@ -147,9 +147,10 @@ impl Encoder {
                     let start = self.key.len();
                     let arity = self.write_header(p, id);
                     self.stack.push(Step::Exit { start, arity });
-                    for &c in p.node(id).children.iter().rev().filter(|&&c| p.is_alive(c)) {
-                        self.stack.push(Step::Enter(c));
-                    }
+                    // Reversed so that the children pop in insertion order.
+                    let first = self.stack.len();
+                    self.stack.extend(p.children(id).map(Step::Enter));
+                    self.stack[first..].reverse();
                 }
                 Step::Exit { start, arity } => {
                     self.sort_children(arity);
@@ -174,7 +175,7 @@ impl Encoder {
         }
         self.ranges.clear();
         self.tmp.clear();
-        for c in &node.conditions {
+        for c in p.conditions(id) {
             let start = self.tmp.len();
             put_condition(&mut self.tmp, c);
             self.ranges.push(start..self.tmp.len());
@@ -186,7 +187,7 @@ impl Encoder {
         for r in &self.ranges {
             self.key.extend_from_slice(&tmp[r.clone()]);
         }
-        let arity = node.children.iter().filter(|&&c| p.is_alive(c)).count();
+        let arity = p.children(id).count();
         put_varint(&mut self.key, arity as u64);
         arity
     }
@@ -329,7 +330,7 @@ mod tests {
         let a = p("r/a", &mut tys);
         let mut b = p("r/a", &mut tys);
         let extra = tys.intern("zz");
-        let child = b.node(b.root()).children[0];
+        let child = b.children(b.root()).next().unwrap();
         b.node_mut(child).types.insert(extra);
         assert!(!isomorphic(&a, &b));
     }

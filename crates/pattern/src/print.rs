@@ -1,7 +1,8 @@
 //! Printers for tree patterns: the DSL form (round-trips through the
 //! parser) and a multi-line ASCII tree for human inspection.
 
-use crate::node::{self as tpq_pattern_node, EdgeKind, NodeId};
+use crate::condition::Condition;
+use crate::node::{EdgeKind, NodeId};
 use crate::pattern::TreePattern;
 use std::fmt::Write as _;
 use tpq_base::TypeInterner;
@@ -28,22 +29,20 @@ fn write_node(p: &TreePattern, types: &TypeInterner, start: NodeId, out: &mut St
         if node.output {
             out.push('*');
         }
-        write_conditions(node, types, out);
-        let children: Vec<NodeId> =
-            node.children.iter().copied().filter(|&c| p.is_alive(c)).collect();
-        if children.is_empty() {
-            return;
-        }
-        let (branches, spine) = children.split_at(children.len() - 1);
-        for &b in branches {
+        write_conditions(p.conditions(id), types, out);
+        // Every child but the last is a bracketed branch; the last one
+        // continues the spine.
+        let mut children = p.children(id);
+        let Some(mut spine) = children.next() else { return };
+        for next in children {
             out.push('[');
-            out.push_str(p.node(b).edge.separator());
-            write_node(p, types, b, out);
+            out.push_str(p.node(spine).edge.separator());
+            write_node(p, types, spine, out);
             out.push(']');
+            spine = next;
         }
-        let s = spine[0];
-        out.push_str(p.node(s).edge.separator());
-        id = s;
+        out.push_str(p.node(spine).edge.separator());
+        id = spine;
     }
 }
 
@@ -67,12 +66,12 @@ pub fn to_tree_string(pattern: &TreePattern, types: &TypeInterner) -> String {
     out
 }
 
-fn write_conditions(node: &tpq_pattern_node::PatternNode, types: &TypeInterner, out: &mut String) {
-    if node.conditions.is_empty() {
+fn write_conditions(conditions: &[Condition], types: &TypeInterner, out: &mut String) {
+    if conditions.is_empty() {
         return;
     }
     out.push('{');
-    for (i, c) in node.conditions.iter().enumerate() {
+    for (i, c) in conditions.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -82,7 +81,7 @@ fn write_conditions(node: &tpq_pattern_node::PatternNode, types: &TypeInterner, 
 }
 
 fn alive_children(p: &TreePattern, id: NodeId) -> Vec<NodeId> {
-    p.node(id).children.iter().copied().filter(|&c| p.is_alive(c)).collect()
+    p.children(id).collect()
 }
 
 fn describe(p: &TreePattern, types: &TypeInterner, id: NodeId, out: &mut String) {
@@ -96,9 +95,9 @@ fn describe(p: &TreePattern, types: &TypeInterner, id: NodeId, out: &mut String)
     if node.output {
         out.push_str(" *");
     }
-    if !node.conditions.is_empty() {
+    if !p.conditions(id).is_empty() {
         out.push(' ');
-        write_conditions(node, types, out);
+        write_conditions(p.conditions(id), types, out);
     }
     if node.temporary {
         out.push_str(" [temp]");
@@ -190,7 +189,7 @@ mod tests {
         let mut tys = TypeInterner::new();
         let mut p = parse_pattern("a/b", &mut tys).unwrap();
         let extra = tys.intern("ghost");
-        let b = p.node(p.root()).children[0];
+        let b = p.children(p.root()).next().unwrap();
         p.node_mut(b).types.insert(extra);
         let t = p.add_temp_child(p.root(), crate::EdgeKind::Descendant, extra);
         let _ = t;

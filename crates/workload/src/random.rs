@@ -49,7 +49,7 @@ pub fn random_pattern(spec: &PatternSpec) -> TreePattern {
         let child = q.add_child(parent, edge, ty(&mut rng));
         open.push(child);
         all.push(child);
-        if q.node(parent).children.len() >= spec.max_fanout {
+        if q.children(parent).count() >= spec.max_fanout {
             open.swap_remove(slot);
         }
     }

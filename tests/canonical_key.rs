@@ -40,9 +40,9 @@ fn reference_node(p: &TreePattern, id: NodeId, enc: &[Option<String>]) -> String
     if node.temporary {
         s.push('!');
     }
-    if !node.conditions.is_empty() {
-        let mut conds: Vec<String> = node
-            .conditions
+    if !p.conditions(id).is_empty() {
+        let mut conds: Vec<String> = p
+            .conditions(id)
             .iter()
             .map(|c| c.normalized())
             .map(|c| format!("{}{}{};", c.attr.0, c.op, c.value))
@@ -55,11 +55,9 @@ fn reference_node(p: &TreePattern, id: NodeId, enc: &[Option<String>]) -> String
         }
         s.push('}');
     }
-    let mut kids: Vec<String> = node
-        .children
-        .iter()
-        .filter(|&&c| p.is_alive(c))
-        .map(|&c| {
+    let mut kids: Vec<String> = p
+        .children(id)
+        .map(|c| {
             let mut k = String::new();
             k.push_str(p.node(c).edge.separator());
             k.push_str(enc[c.index()].as_deref().expect("post-order: child encoded"));
@@ -97,7 +95,7 @@ fn decorate(q: &mut TreePattern, rng: &mut SmallRng) {
     for &id in &ids {
         while rng.gen_bool(0.3) {
             let c = random_condition(rng);
-            q.node_mut(id).conditions.push(c);
+            q.add_condition(id, c);
         }
         if id != q.root() && q.node(id).is_leaf() && rng.gen_bool(0.15) {
             q.node_mut(id).temporary = true;
@@ -122,11 +120,12 @@ fn permuted(q: &TreePattern, rng: &mut SmallRng) -> TreePattern {
         let node = q.node(from);
         out.node_mut(to).types = node.types.clone();
         out.node_mut(to).temporary = node.temporary;
-        let mut conds = node.conditions.clone();
+        let mut conds = q.conditions(from).to_vec();
         rng.shuffle(&mut conds);
-        out.node_mut(to).conditions = conds;
-        let mut kids: Vec<NodeId> =
-            node.children.iter().copied().filter(|&c| q.is_alive(c)).collect();
+        for c in conds {
+            out.add_condition(to, c);
+        }
+        let mut kids: Vec<NodeId> = q.children(from).collect();
         rng.shuffle(&mut kids);
         for c in kids {
             let id = out.add_child(to, q.node(c).edge, q.node(c).primary);
@@ -219,14 +218,15 @@ fn single_edits_change_the_key_exactly_when_the_reference_changes() {
             // The same condition once on one side, twice on the other.
             0 => {
                 let c = random_condition(&mut rng);
-                q.node_mut(id).conditions.push(c.clone());
-                edited.node_mut(id).conditions.extend([c.clone(), c]);
+                q.add_condition(id, c.clone());
+                edited.add_condition(id, c.clone());
+                edited.add_condition(id, c);
             }
             // A bound on one side, its normalized twin on the other.
             1 => {
                 let c = random_condition(&mut rng);
-                edited.node_mut(id).conditions.push(c.normalized());
-                q.node_mut(id).conditions.push(c);
+                edited.add_condition(id, c.normalized());
+                q.add_condition(id, c);
             }
             2 if id != q.root() => {
                 let temporary = edited.node(id).temporary;
@@ -270,7 +270,7 @@ fn strict_bounds_normalize_and_duplicate_conditions_fold() {
 fn temporaries_and_the_output_marker_distinguish() {
     let mut tys = TypeInterner::new();
     let q = parse_pattern("r*[/a][//b]", &mut tys).unwrap();
-    let a = q.node(q.root()).children[0];
+    let a = q.children(q.root()).next().unwrap();
 
     let mut temp = q.clone();
     temp.node_mut(a).temporary = true;
@@ -296,7 +296,7 @@ fn chased_multi_type_sets_are_keyed() {
     // The chased `a` carries {a, b}; a pattern that carries {a, b} on its
     // other child instead is isomorphic once siblings are reordered.
     let mut flipped = q.clone();
-    let kids = flipped.node(flipped.root()).children.clone();
+    let kids = flipped.children(flipped.root()).collect::<Vec<_>>();
     flipped.node_mut(kids[1]).types.insert(a);
     flipped.node_mut(kids[1]).primary = a;
     flipped.node_mut(kids[0]).primary = b;

@@ -38,8 +38,8 @@ fn non_entailed_conditions_block_minimization() {
     let q3 = parse_pattern("Shelf*[//Book{price<10}]//Book{price<50}", &mut t).unwrap();
     let m3 = cim(&q3);
     assert_eq!(m3.size(), 2);
-    let survivor = m3.alive_ids().find(|&v| !m3.node(v).conditions.is_empty()).unwrap();
-    assert_eq!(m3.node(survivor).conditions[0].value, tpq::base::Value::Int(10));
+    let survivor = m3.alive_ids().find(|&v| !m3.conditions(v).is_empty()).unwrap();
+    assert_eq!(m3.conditions(survivor)[0].value, tpq::base::Value::Int(10));
 }
 
 #[test]
@@ -50,11 +50,9 @@ fn unconditioned_node_subsumed_by_conditioned_twin() {
     let m = cim(&q);
     assert_eq!(m.size(), 2);
     // But not the other way: the conditioned one must survive.
-    let survivor = m
-        .alive_ids()
-        .find(|&v| !m.node(v).conditions.is_empty())
-        .expect("conditioned node survives");
-    assert_eq!(m.node(survivor).conditions.len(), 1);
+    let survivor =
+        m.alive_ids().find(|&v| !m.conditions(v).is_empty()).expect("conditioned node survives");
+    assert_eq!(m.conditions(survivor).len(), 1);
 }
 
 #[test]
@@ -84,7 +82,7 @@ fn matching_respects_attribute_values() {
     assert_eq!(shelves.len(), 1, "the shelf matches via the first book only");
     // Move the output to the Book node to see which books matched.
     let mut q2 = q.clone();
-    let book = q2.node(q2.root()).children[0];
+    let book = q2.children(q2.root()).next().unwrap();
     q2.set_output(book);
     let books = answer_set(&q2, &doc);
     assert_eq!(books.len(), 1);
@@ -125,8 +123,8 @@ fn ics_do_not_discharge_conditioned_nodes() {
     let m = minimize(&q, &ics).pattern;
     // Title goes (implied), the conditioned Price stays.
     assert_eq!(m.size(), 2);
-    let kept = m.node(m.root()).children[0];
-    assert!(!m.node(kept).conditions.is_empty());
+    let kept = m.children(m.root()).next().unwrap();
+    assert!(!m.conditions(kept).is_empty());
     assert!(equivalent_under(&q, &m, &ics, &Guard::unlimited()).unwrap());
 }
 
