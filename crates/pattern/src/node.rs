@@ -1,6 +1,5 @@
 //! Pattern node and edge primitives.
 
-use crate::condition::Condition;
 use std::fmt;
 use tpq_base::{TypeId, TypeSet};
 
@@ -51,12 +50,21 @@ impl fmt::Display for EdgeKind {
     }
 }
 
+/// The "no node" value of the child and sibling links.
+pub(crate) const NIL: u32 = u32::MAX;
+
 /// One node of a tree pattern.
 ///
 /// `primary` is the type the query was written with; `types` additionally
 /// holds co-occurrence types merged in by the chase (Section 5.2) and always
 /// contains `primary`. `temporary` marks nodes added by augmentation — they
 /// are never candidates for removal and are stripped after ACIM.
+///
+/// A node owns no heap memory while its type set fits inline: its
+/// children are first-child / next-sibling / last-child links into the
+/// arena, read through [`TreePattern::children`](crate::TreePattern::children),
+/// and its conditions sit in the pattern's side table, read through
+/// [`TreePattern::conditions`](crate::TreePattern::conditions).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PatternNode {
     /// The query type of this node.
@@ -68,16 +76,18 @@ pub struct PatternNode {
     /// Kind of the edge from the parent (meaningless for the root, kept as
     /// [`EdgeKind::Child`]).
     pub edge: EdgeKind,
-    /// Children in insertion order.
-    pub children: Vec<NodeId>,
-    /// Value-based conditions on the node (conjunction; Section 7).
-    pub conditions: Vec<Condition>,
     /// Whether this node carries the output marker `*`.
     pub output: bool,
     /// Whether this node was added by augmentation (temporary).
     pub temporary: bool,
     /// Tombstone flag; dead nodes are skipped by every traversal.
     pub alive: bool,
+    /// The first alive child, or [`NIL`].
+    pub(crate) first_child: u32,
+    /// The last alive child, or [`NIL`]; appends go after it.
+    pub(crate) last_child: u32,
+    /// The parent's next alive child after this one, or [`NIL`].
+    pub(crate) next_sibling: u32,
 }
 
 impl PatternNode {
@@ -88,17 +98,19 @@ impl PatternNode {
             types: TypeSet::singleton(ty),
             parent,
             edge,
-            children: Vec::new(),
-            conditions: Vec::new(),
             output: false,
             temporary: false,
             alive: true,
+            first_child: NIL,
+            last_child: NIL,
+            next_sibling: NIL,
         }
     }
 
     /// Whether the node currently has no children.
+    #[inline]
     pub fn is_leaf(&self) -> bool {
-        self.children.is_empty()
+        self.first_child == NIL
     }
 }
 
