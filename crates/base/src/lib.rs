@@ -19,6 +19,9 @@
 //! * [`Guard`] — deadlines, step budgets and cooperative cancellation
 //!   for the expensive algorithms (see `docs/ROBUSTNESS.md`);
 //! * [`failpoint`] — deterministic fault injection (`TPQ_FAILPOINT`);
+//! * [`rows`] — bit rows over a pre-ordered tree, the candidate-pruning
+//!   kernel that the matcher, the minimization engine and the containment
+//!   test share;
 //! * [`fd`] (Linux) — raw `epoll`/`eventfd` FFI and safe wrappers, the
 //!   substrate of the `tpq-serve` event-loop reactor;
 //! * [`Error`] / [`Result`] — the workspace-wide error type.
@@ -33,6 +36,7 @@ pub mod interner;
 pub mod json;
 pub mod pool;
 pub mod rng;
+pub mod rows;
 pub mod typeset;
 pub mod value;
 

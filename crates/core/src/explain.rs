@@ -25,9 +25,7 @@
 //! of the process (it is never turned back off — concurrent users may
 //! rely on it).
 
-use crate::cdm::cdm_in_place_guarded;
-use crate::incremental::acim_stage;
-use crate::pipeline::{note_budget_trip, Strategy};
+use crate::pipeline::{note_budget_trip, run_stages, Strategy};
 use crate::stats::MinimizeStats;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -128,7 +126,8 @@ pub fn explain(
     let t0 = Instant::now();
     let run = {
         let _scope = tpq_obs::trace_scope(trace);
-        run_uncompacted(q, &closed, strategy, &mut stats, guard)
+        let _span = tpq_obs::span!("minimize");
+        run_stages(q, &closed, strategy, &mut stats, guard).map(|work| work.compact().0)
     };
     let events: Vec<tpq_obs::Event> =
         tpq_obs::drain_events().into_iter().filter(|e| e.trace == trace).collect();
@@ -136,31 +135,6 @@ pub fn explain(
     stats.total_time = t0.elapsed();
     let deletions = fold_deletions(q, &events);
     Ok(Explanation { minimized, stats, trace, deletions, events })
-}
-
-/// Run `strategy` on a clone of `q` **without intermediate compaction**,
-/// so every node id the decision events carry stays valid in the input
-/// arena. Compacts only once, at the very end.
-fn run_uncompacted(
-    q: &TreePattern,
-    closed: &ConstraintSet,
-    strategy: Strategy,
-    stats: &mut MinimizeStats,
-    guard: &Guard,
-) -> Result<TreePattern> {
-    let _span = tpq_obs::span!("minimize");
-    let mut work = q.clone();
-    if matches!(strategy, Strategy::CdmOnly | Strategy::CdmThenAcim) {
-        cdm_in_place_guarded(&mut work, closed, stats, guard)?;
-    }
-    match strategy {
-        Strategy::CdmOnly => {}
-        Strategy::CimOnly => work = acim_stage(work, None, stats, guard)?,
-        Strategy::AcimOnly | Strategy::CdmThenAcim => {
-            work = acim_stage(work, Some(closed), stats, guard)?
-        }
-    }
-    Ok(work.compact().0)
 }
 
 /// Fold the filtered event stream into per-node deletion records.

@@ -6,13 +6,16 @@
 //! * [`contains()`](fn@contains) / [`equivalent()`](fn@equivalent) — containment and equivalence of tree
 //!   patterns via containment mappings (Section 4);
 //!   [`has_homomorphism()`](fn@has_homomorphism) is the mapping test itself;
+//!   it, containment under constraints and the engine prune candidate bit
+//!   rows with the row kernel the document matcher also runs
+//!   ([`tpq_base::rows`]);
 //! * [`cim()`](fn@cim) — **C**onstraint-**I**ndependent **M**inimization: the unique
 //!   minimal equivalent query in the absence of integrity constraints
 //!   (Theorem 4.1), computed by a maximal elimination ordering on the
-//!   Section 6.1 engine ([`CimEngine`]), which keeps the images and
-//!   ancestor tables of Figure 3's redundant-leaf test alive across tests
-//!   ([`redundant_leaf`] is the rebuild-per-test reference it is checked
-//!   against);
+//!   Section 6.1 engine ([`CimEngine`]), which keeps the images table of
+//!   Figure 3's redundant-leaf test alive across tests and reads ancestry
+//!   off a pre-order numbering ([`redundant_leaf`] is the rebuild-per-test
+//!   reference it is checked against);
 //! * [`contains_under()`](fn@contains_under) / [`equivalent_under()`](fn@equivalent_under) — containment and
 //!   equivalence *under* a set of required-child / required-descendant /
 //!   co-occurrence constraints (Section 5);

@@ -22,7 +22,7 @@
 //! Theorem 4.1's order-independence is tested by running that loop under
 //! different candidate orders.
 
-use crate::mapping::{node_compatible, original_children, prune_node, PatIndex};
+use crate::mapping::{edge_preserved, node_compatible, original_children};
 use tpq_base::FxHashSet;
 use tpq_pattern::{NodeId, TreePattern};
 
@@ -39,17 +39,16 @@ use tpq_pattern::{NodeId, TreePattern};
 /// node.
 pub fn redundant_leaf(q: &TreePattern, l: NodeId) -> bool {
     debug_assert!(
-        q.is_alive(l) && !q.node(l).temporary && original_children(q, l).is_empty(),
+        q.is_alive(l) && !q.node(l).temporary && original_children(q, l).next().is_none(),
         "l must be an alive original leaf"
     );
     debug_assert!(l != q.output(), "the output node is never tested");
     debug_assert!(l != q.root(), "the root is never tested");
 
-    // Ancestor/descendant table plus images. Images are keyed by original
-    // (non-temporary) nodes — the homomorphism domain. Targets include
-    // temporary nodes: that is how ACIM's augmentation makes IC-implied
-    // leaves removable.
-    let index = PatIndex::build(q);
+    // Images are keyed by original (non-temporary) nodes — the
+    // homomorphism domain. Targets include temporary nodes: that is how
+    // ACIM's augmentation makes IC-implied leaves removable. Ancestry is
+    // read by walking parent links.
     let targets: Vec<NodeId> = q.alive_ids().collect();
     let originals: Vec<NodeId> = q.alive_ids().filter(|&v| !q.node(v).temporary).collect();
     let mut images: Vec<Vec<NodeId>> = vec![Vec::new(); q.arena_len()];
@@ -71,12 +70,12 @@ pub fn redundant_leaf(q: &TreePattern, l: NodeId) -> bool {
     // pruning.
     let mut marked = vec![false; q.arena_len()];
     for &v in &originals {
-        if original_children(q, v).is_empty() {
+        if original_children(q, v).next().is_none() {
             marked[v.index()] = true;
         }
     }
     for v in q.ancestors(l) {
-        minimize_images(q, &index, v, &mut images, &mut marked);
+        minimize_images(q, v, &mut images, &mut marked);
         if images[v.index()].is_empty() {
             return false;
         }
@@ -92,27 +91,29 @@ pub fn redundant_leaf(q: &TreePattern, l: NodeId) -> bool {
 
 /// `minimize-images` of Figure 3: ensure every descendant's images are
 /// pruned, then prune `v`'s own images against its children.
-fn minimize_images(
-    q: &TreePattern,
-    index: &PatIndex,
-    v: NodeId,
-    images: &mut [Vec<NodeId>],
-    marked: &mut [bool],
-) {
-    if marked[v.index()] {
-        // Already minimized on a previous ancestor visit — but one of its
-        // children (the previous ancestor on the walk) may have changed, so
-        // re-prune v itself against current child images.
-        prune_node(q, q, index, v, images);
-        return;
-    }
-    for c in original_children(q, v) {
-        if !marked[c.index()] {
-            minimize_images(q, index, c, images, marked);
+fn minimize_images(q: &TreePattern, v: NodeId, images: &mut [Vec<NodeId>], marked: &mut [bool]) {
+    if !marked[v.index()] {
+        for c in original_children(q, v) {
+            if !marked[c.index()] {
+                minimize_images(q, c, images, marked);
+            }
         }
+        marked[v.index()] = true;
     }
-    prune_node(q, q, index, v, images);
-    marked[v.index()] = true;
+    // A node minimized on an earlier ancestor visit is re-pruned too: one
+    // of its children (the previous ancestor on the walk) may have changed.
+    prune(q, v, images);
+}
+
+/// Keep the images `u` of `v` under which every original child of `v` has
+/// an image that fits below `u`.
+fn prune(q: &TreePattern, v: NodeId, images: &mut [Vec<NodeId>]) {
+    let mut kept = std::mem::take(&mut images[v.index()]);
+    kept.retain(|&u| {
+        original_children(q, v)
+            .all(|w| images[w.index()].iter().any(|&u2| edge_preserved(q.node(w).edge, q, u, u2)))
+    });
+    images[v.index()] = kept;
 }
 
 /// CIM by a maximal elimination ordering over [`redundant_leaf`], testing
@@ -136,7 +137,7 @@ where
             .alive_ids()
             .filter(|&l| {
                 !work.node(l).temporary
-                    && original_children(&work, l).is_empty()
+                    && original_children(&work, l).next().is_none()
                     && l != work.root()
                     && l != work.output()
                     && !non_redundant.contains(&l)
@@ -147,7 +148,7 @@ where
         }
         let mut progress = false;
         for l in priority(&work, &candidates) {
-            if !work.is_alive(l) || !original_children(&work, l).is_empty() {
+            if !work.is_alive(l) || original_children(&work, l).next().is_some() {
                 continue;
             }
             if redundant_leaf(&work, l) {
