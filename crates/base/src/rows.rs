@@ -6,7 +6,9 @@
 //! of word `u / 64`. Node ids are pre-order ranks, so the subtree of `u` is
 //! the interval `u ..= subtree_end(u)` and no ancestor table is needed:
 //! [`keep_parents`] prunes a row against a child's row over either edge
-//! kind, and [`below`] lists the members that fit under one image.
+//! kind, and [`below`] lists the members that fit under one image. A first
+//! child's id is its parent's plus one, so over a child edge the first
+//! children of a row give their parents a word at a time, by a shift.
 
 /// A tree whose node ids are pre-order ranks `0..n`.
 pub trait PreOrderTree {
@@ -15,6 +17,9 @@ pub trait PreOrderTree {
     fn c_parent(&self, u: u32) -> Option<u32>;
     /// The last id of `u`'s subtree (`u` itself for a leaf).
     fn subtree_end(&self, u: u32) -> u32;
+    /// The first children as a row: the nodes `c` with
+    /// `c_parent(c) == Some(c - 1)`.
+    fn first_children(&self) -> &[u64];
 }
 
 /// Fixed-width rows stored back to back in one allocation.
@@ -176,7 +181,10 @@ pub fn retain(row: &mut [u64], mut keep: impl FnMut(u32) -> bool) -> u64 {
 /// can image the parent of a child whose candidates are `child_row`.
 ///
 /// * Child edge (`child_edge`): the parents of the members of `child_row`
-///   that hang by a child edge, scattered into `scratch` (one row).
+///   that hang by a child edge, gathered in `scratch` (one row). A first
+///   child's parent is the node just before it, so the first-child
+///   members give their parents a word at a time, shifted down one bit;
+///   only the other members are scattered one by one.
 /// * Descendant edge: the members `u` whose subtree holds a member of
 ///   `child_row` strictly below `u`, i.e. whose successor in `child_row`
 ///   is at most `subtree_end(u)`.
@@ -191,12 +199,29 @@ pub fn keep_parents(
     scratch: &mut [u64],
 ) -> (u64, bool) {
     if child_edge {
+        let first = tree.first_children();
+        debug_assert_eq!(first.len(), child_row.len(), "one first-children row per tree");
         scratch.fill(0);
         let mut seen = 0;
-        for c in ones(child_row, 0) {
-            seen += 1;
-            if let Some(p) = tree.c_parent(c) {
-                set(scratch, p);
+        for (w, &members) in child_row.iter().enumerate() {
+            if members == 0 {
+                continue;
+            }
+            seen += u64::from(members.count_ones());
+            // Bit 0 of a word is the first child of bit 63 of the word
+            // before; the root, bit 0 of word 0, is never a first child.
+            let firsts = members & first[w];
+            scratch[w] |= firsts >> 1;
+            if w > 0 {
+                scratch[w - 1] |= firsts << 63;
+            }
+            let mut rest = members & !firsts;
+            while rest != 0 {
+                let c = w as u32 * 64 + rest.trailing_zeros();
+                rest &= rest - 1;
+                if let Some(p) = tree.c_parent(c) {
+                    set(scratch, p);
+                }
             }
         }
         return (seen, and_into(row, scratch));
@@ -244,6 +269,20 @@ mod tests {
         parent: Vec<Option<u32>>,
         end: Vec<u32>,
         d_edges: Vec<u32>,
+        /// Derived from the columns above.
+        first: Vec<u64>,
+    }
+
+    impl Tree {
+        fn new(parent: Vec<Option<u32>>, end: Vec<u32>, d_edges: Vec<u32>) -> Tree {
+            let mut tree = Tree { first: vec![0; parent.len().div_ceil(64)], parent, end, d_edges };
+            for c in 1..tree.parent.len() as u32 {
+                if tree.c_parent(c) == Some(c - 1) {
+                    set(&mut tree.first, c);
+                }
+            }
+            tree
+        }
     }
 
     impl PreOrderTree for Tree {
@@ -254,15 +293,15 @@ mod tests {
         fn subtree_end(&self, u: u32) -> u32 {
             self.end[u as usize]
         }
+
+        fn first_children(&self) -> &[u64] {
+            &self.first
+        }
     }
 
     /// A chain `0 - 1 - … - (n-1)`, each node the parent of the next.
     fn chain(n: u32, d_edges: Vec<u32>) -> Tree {
-        Tree {
-            parent: (0..n).map(|u| u.checked_sub(1)).collect(),
-            end: vec![n - 1; n as usize],
-            d_edges,
-        }
+        Tree::new((0..n).map(|u| u.checked_sub(1)).collect(), vec![n - 1; n as usize], d_edges)
     }
 
     fn row_of(bits: usize, members: &[u32]) -> Vec<u64> {
@@ -347,6 +386,54 @@ mod tests {
         }
     }
 
+    /// A random pre-order tree of `n` nodes: each node hangs under a node
+    /// on the path from the root to its predecessor, by a descendant edge
+    /// with probability `d`.
+    fn random_tree(rng: &mut crate::SmallRng, n: u32, d: f64) -> Tree {
+        let mut parent = vec![None];
+        let mut path = vec![0u32];
+        for u in 1..n {
+            path.truncate(rng.gen_range(1..path.len() + 1));
+            parent.push(path.last().copied());
+            path.push(u);
+        }
+        let mut end: Vec<u32> = (0..n).collect();
+        for u in (1..n as usize).rev() {
+            let p = parent[u].expect("a non-root node has a parent") as usize;
+            end[p] = end[p].max(end[u]);
+        }
+        let d_edges = (1..n).filter(|_| rng.gen_bool(d)).collect();
+        Tree::new(parent, end, d_edges)
+    }
+
+    #[test]
+    fn child_step_agrees_with_a_per_member_scatter() {
+        let mut rng = crate::SmallRng::seed_from_u64(29);
+        for round in 0..600 {
+            let n = if round < 300 { round + 1 } else { rng.gen_range(1..301) };
+            let tree = random_tree(&mut rng, n, [0.0, 0.2, 0.6][round as usize % 3]);
+            let density = [0.02, 0.3, 0.9][round as usize / 3 % 3];
+            let mut members: Vec<u32> = (0..n).filter(|_| rng.gen_bool(density)).collect();
+            // The bits either side of each word boundary, and the last word.
+            members.extend([63, 64, 127, 128, n - 1].into_iter().filter(|&u| u < n));
+            let child_row = row_of(n as usize, &members);
+            let row = row_of(n as usize, &(0..n).filter(|_| rng.gen_bool(0.7)).collect::<Vec<_>>());
+            let mut want = vec![0; row.len()];
+            for c in ones(&child_row, 0) {
+                if let Some(p) = tree.c_parent(c) {
+                    set(&mut want, p);
+                }
+            }
+            let mut kept = row.clone();
+            let want_changed = and_into(&mut kept, &want);
+            let mut got = row.clone();
+            let mut scratch = vec![!0; row.len()];
+            let step = keep_parents(&tree, true, &mut got, &child_row, &mut scratch);
+            assert_eq!(step, (count(&child_row), want_changed), "round {round}, {n} nodes");
+            assert_eq!(got, kept, "round {round}, {n} nodes");
+        }
+    }
+
     #[test]
     fn descendant_step_respects_subtree_ends() {
         // 0 has children 1 (subtree 1..=64) and 65 (subtree 65..=129);
@@ -356,7 +443,7 @@ mod tests {
         let mut end = vec![64; 130];
         end[0] = 129;
         end[65..].fill(129);
-        let tree = Tree { parent, end, d_edges: Vec::new() };
+        let tree = Tree::new(parent, end, Vec::new());
         let below = row_of(130, &[64, 129]);
         let mut scratch = vec![0; 3];
         let mut row = row_of(130, &[0, 1, 63, 64, 65, 128, 129]);

@@ -239,6 +239,27 @@ mod tests {
     }
 
     #[test]
+    fn repair_keeps_the_first_children_column() {
+        // Every Dept gains a Manager and a Budget after its own children,
+        // so the added nodes are first children or later children.
+        let mut tys = TypeInterner::new();
+        let xml = format!("<Org>{}</Org>", "<Dept><Manager/></Dept><Dept/>".repeat(30));
+        let doc = parse_xml(&xml, &mut tys).unwrap();
+        let (dept, manager) = (tys.lookup("Dept").unwrap(), tys.lookup("Manager").unwrap());
+        let budget = tys.intern("Budget");
+        let set =
+            ConstraintSet::from_iter([RequiredChild(dept, manager), RequiredChild(dept, budget)])
+                .closure();
+        let fixed = repair(&doc, &set).unwrap();
+        assert_eq!(fixed.len(), 1 + 30 * 6);
+        fixed.validate().unwrap();
+        for c in fixed.ids() {
+            let bit = fixed.first_children()[c.index() / 64] >> (c.0 % 64) & 1 == 1;
+            assert_eq!(bit, c.0 > 0 && fixed.parent(c).is_some_and(|p| p.0 == c.0 - 1), "{c}");
+        }
+    }
+
+    #[test]
     fn repair_adds_cooccurrence_types_everywhere() {
         let mut tys = TypeInterner::new();
         let doc = parse_xml("<Org><Employee/><Employee/></Org>", &mut tys).unwrap();

@@ -42,6 +42,8 @@ pub(crate) struct PreOrder {
     rank: Vec<u32>,
     /// Indexed by rank.
     nodes: Vec<Ranked>,
+    /// One bit per rank: `r` hangs by a child edge under `r - 1`.
+    first_children: Vec<u64>,
 }
 
 /// One numbered node.
@@ -57,11 +59,13 @@ struct Ranked {
 
 impl PreOrder {
     /// Number `q`'s alive nodes in pre-order, each node's original children
-    /// before its temporary ones (otherwise in child order), then fill in
-    /// the subtree ends by one reverse pass.
+    /// before its temporary ones (otherwise in child order), marking the
+    /// first children that hang by a child edge, then fill in the subtree
+    /// ends by one reverse pass.
     pub(crate) fn new(q: &TreePattern) -> PreOrder {
         let mut rank = vec![NONE; q.arena_len()];
         let mut nodes: Vec<Ranked> = Vec::with_capacity(q.size());
+        let mut first_children = Vec::with_capacity(q.size().div_ceil(64));
         // Never deeper than the pattern is large, so it never regrows.
         let mut stack = Vec::with_capacity(q.size());
         stack.push(q.root());
@@ -72,6 +76,12 @@ impl PreOrder {
             let parent = node.parent.map_or(NONE, |p| rank[p.index()]);
             let (child_edge, temporary) = (node.edge == EdgeKind::Child, node.temporary);
             nodes.push(Ranked { id, parent, end: r, child_edge, temporary });
+            if r.is_multiple_of(64) {
+                first_children.push(0);
+            }
+            if child_edge && r > 0 && parent == r - 1 {
+                rows::set(&mut first_children, r);
+            }
             // Pushed last, popped first: the original children.
             for temporaries in [true, false] {
                 let first = stack.len();
@@ -83,7 +93,7 @@ impl PreOrder {
             let (parent, end) = (nodes[r].parent as usize, nodes[r].end);
             nodes[parent].end = nodes[parent].end.max(end);
         }
-        PreOrder { rank, nodes }
+        PreOrder { rank, nodes, first_children }
     }
 
     /// The number of numbered nodes.
@@ -175,6 +185,11 @@ impl PreOrderTree for PreOrder {
     #[inline]
     fn subtree_end(&self, u: u32) -> u32 {
         self.nodes[u as usize].end
+    }
+
+    #[inline]
+    fn first_children(&self) -> &[u64] {
+        &self.first_children
     }
 }
 
@@ -581,6 +596,30 @@ mod tests {
                 "n={n}: the left chain up to x"
             );
             assert!(has_homomorphism_naive(&left_only, &to));
+        }
+    }
+
+    #[test]
+    fn numbering_marks_the_first_children_that_hang_by_a_child_edge() {
+        let mut rng = tpq_base::SmallRng::seed_from_u64(29);
+        for round in 0..40 {
+            // Each node under a random earlier one, some of them temporary
+            // (numbered after their original siblings), some by a d-edge.
+            let mut q = TreePattern::new(tpq_base::TypeId(0));
+            let mut ids = vec![q.root()];
+            for _ in 1..rng.gen_range(1..200usize) {
+                let parent = ids[rng.gen_range(0..ids.len())];
+                let edge = if rng.gen_bool(0.3) { EdgeKind::Descendant } else { EdgeKind::Child };
+                let id = q.add_child(parent, edge, tpq_base::TypeId(1));
+                q.node_mut(id).temporary = rng.gen_bool(0.2);
+                ids.push(id);
+            }
+            let tree = PreOrder::new(&q);
+            assert_eq!(tree.first_children().len(), tree.len().div_ceil(64));
+            for r in 0..tree.len() as u32 {
+                let want = r > 0 && tree.c_parent(r) == Some(r - 1);
+                assert_eq!(rows::has(tree.first_children(), r), want, "round {round}, rank {r}");
+            }
         }
     }
 }

@@ -2,13 +2,14 @@
 //!
 //! A [`Document`] keeps one column per node field instead of one struct per
 //! node: the parent, the primary type, a span into one shared type pool, a
-//! span into one shared attribute pool, the child links, and the id of the
-//! last node of each subtree. Every parsed or repaired document is
-//! *pre-ordered*: a node's id is its pre-order rank, so its subtree is the id
-//! interval `id ..= subtree_end(id)` and ancestorship is two comparisons. A
-//! document grown by hand out of document order stays a valid document;
-//! [`Document::is_pre_order`] tells the two kinds apart and
-//! [`Document::to_pre_order`] renumbers the second kind.
+//! span into one shared attribute pool, the child links, the id of the
+//! last node of each subtree, and one bit per node that marks the nodes
+//! whose parent is the node just before them. Every parsed or repaired
+//! document is *pre-ordered*: a node's id is its pre-order rank, so its
+//! subtree is the id interval `id ..= subtree_end(id)` and ancestorship is
+//! two comparisons. A document grown by hand out of document order stays a
+//! valid document; [`Document::is_pre_order`] tells the two kinds apart
+//! and [`Document::to_pre_order`] renumbers the second kind.
 
 use std::fmt;
 use tpq_base::{Error, Result, TypeId, TypeSet, Value};
@@ -87,6 +88,9 @@ pub struct Document {
     /// While `pre_order`: the id of the last node of each subtree, or
     /// [`OPEN`] for the nodes on the path to the last node.
     end: Vec<u32>,
+    /// One bit per node, 64 to a word: node `c` is set iff its parent is
+    /// `c - 1`. Nodes are only appended, so a bit never goes stale.
+    first_children: Vec<u64>,
     /// Whether every id is its node's pre-order rank.
     pre_order: bool,
 }
@@ -114,6 +118,7 @@ impl Document {
             next_sibling: Vec::new(),
             last_child: Vec::new(),
             end: Vec::new(),
+            first_children: Vec::new(),
             pre_order: true,
         }
     }
@@ -149,6 +154,12 @@ impl Document {
         self.next_sibling.push(NONE);
         self.last_child.push(NONE);
         self.end.push(OPEN);
+        if id.is_multiple_of(64) {
+            self.first_children.push(0);
+        }
+        if parent.is_some_and(|p| p.0 == id - 1) {
+            self.first_children[id as usize / 64] |= 1 << (id % 64);
+        }
         DataNodeId(id)
     }
 
@@ -338,6 +349,14 @@ impl Document {
         DataNodeId(self.end[id.index()].min(self.len() as u32 - 1))
     }
 
+    /// The nodes whose parent is the node just before them, one bit per
+    /// node, 64 to a word: in a pre-ordered document, every node's first
+    /// child.
+    #[inline]
+    pub fn first_children(&self) -> &[u64] {
+        &self.first_children
+    }
+
     /// Node ids in pre-order (document order).
     pub fn pre_order(&self) -> Vec<DataNodeId> {
         if self.pre_order {
@@ -404,7 +423,8 @@ impl Document {
 
     /// Check structural invariants: one tree reachable from the root, child
     /// links that agree with the parent column, ascending type sets holding
-    /// the primary type and, for a pre-ordered document, ids that are
+    /// the primary type, a first-children column that agrees with the
+    /// parent column and, for a pre-ordered document, ids that are
     /// pre-order ranks with correct subtree ends.
     pub fn validate(&self) -> Result<()> {
         let bad = |m: String| Err(Error::InvalidDocument(m));
@@ -456,6 +476,15 @@ impl Document {
         }
         if !self.ids().filter(|&id| self.types(id).len() > 1).eq(self.multi_typed.iter().copied()) {
             return bad("the list of multi-typed nodes is stale".into());
+        }
+        if self.first_children.len() != n.div_ceil(64) {
+            return bad("the first-children column has the wrong length".into());
+        }
+        for c in 0..self.first_children.len() * 64 {
+            let set = self.first_children[c / 64] & (1 << (c % 64)) != 0;
+            if set != (c > 0 && c < n && self.parent[c] == c as u32 - 1) {
+                return bad(format!("d{c}: first-children bit is wrong"));
+            }
         }
         if self.pre_order {
             for id in self.ids().rev() {
@@ -703,6 +732,12 @@ mod tests {
         assert!(d.validate().is_err());
         let (mut d, ids) = doc();
         d.end[ids[1].index()] = ids[1].0; // b's subtree holds c
+        assert!(d.validate().is_err());
+        let (mut d, ids) = doc();
+        d.first_children[0] ^= 1 << ids[3].0; // d's parent is a, not c
+        assert!(d.validate().is_err());
+        let (mut d, ids) = doc();
+        d.first_children[0] ^= 1 << ids[2].0; // c's parent is b
         assert!(d.validate().is_err());
     }
 }

@@ -19,8 +19,10 @@
 //! `v`'s types (the AND of their rows) and its attributes satisfy `v`'s
 //! value conditions, and every pattern child has a structurally compatible
 //! candidate. A c-edge ANDs the row with the parents of the child's
-//! candidates; a d-edge keeps `u` when the child's first candidate after
-//! `u` is at most `subtree_end(u)`.
+//! candidates: the candidates in [`Document::first_children`] give theirs
+//! as the row shifted down one bit, the others by a scatter. A d-edge
+//! keeps `u` when the child's first candidate after `u` is at most
+//! `subtree_end(u)`.
 //!
 //! Phase 2 (top-down): intersect with reachability from the root to get
 //! `feasible(v)` — the data nodes that participate in at least one *full*
@@ -52,6 +54,11 @@ impl PreOrderTree for DocTree<'_> {
     #[inline]
     fn subtree_end(&self, u: u32) -> u32 {
         self.0.subtree_end(DataNodeId(u)).0
+    }
+
+    #[inline]
+    fn first_children(&self) -> &[u64] {
+        self.0.first_children()
     }
 }
 
@@ -555,6 +562,19 @@ mod tests {
         let answers = answer_set_twig_indexed(&p, &d, &index, &guard).unwrap();
         assert_eq!(answers, agree(&p, &d));
         assert!(guard.spent() > 9, "spent {}", guard.spent());
+    }
+
+    #[test]
+    fn guard_charges_of_a_child_chain_are_pinned() {
+        // 1 + 20 × (7 + 5) = 241 nodes over four words; the matching `a`
+        // and `b` nodes are first children and later children.
+        let sections = "<s><a><b/></a><c/><a><b/><b/></a></s><s><c/><a><c/><b/></a></s>";
+        let (p, d, _) = setup("r/s/a/b*", &format!("<r>{}</r>", sections.repeat(20)));
+        assert_eq!(d.len(), 241);
+        let guard = Guard::with_budget(u64::MAX);
+        let m = Matcher::new(&p, &d, &guard).unwrap();
+        assert_eq!(m.answers().len(), 80);
+        assert_eq!(guard.spent(), 641, "the charges of one complete build");
     }
 
     #[test]

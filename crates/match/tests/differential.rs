@@ -502,6 +502,57 @@ fn documents_built_out_of_order_across_word_boundaries_agree_with_naive() {
 }
 
 #[test]
+fn child_edge_chains_agree_with_naive_on_first_and_later_children() {
+    // `t0/t1/t2`-style chains, a root with two child branches, and child
+    // edges under descendant edges, on documents of 63–300 nodes.
+    let mut tys = TypeInterner::new();
+    for i in 0..3 {
+        tys.intern(&format!("t{i}"));
+    }
+    let queries = [
+        "t0/t1/t2*",
+        "t0*/t1/t2",
+        "t1/t0*/t1",
+        "t0*[/t1][/t2]",
+        "t1*[/t0/t2][/t1]",
+        "t0//t1/t2*",
+        "t2*//t0/t1",
+        "t0//t1*[/t2][/t0]",
+        "t0/t1//t2/t0*",
+    ];
+    let patterns: Vec<TreePattern> =
+        queries.iter().map(|q| parse_pattern(q, &mut tys).unwrap()).collect();
+    let (mut first, mut later, mut total) = (0, 0, 0);
+    for seed in 0..24u64 {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xc0ed);
+        let doc = generate_document(&DocumentSpec {
+            nodes: rng.gen_range(63..301),
+            num_types: 3,
+            max_fanout: rng.gen_range(1..6),
+            extra_type_prob: 0.1,
+            seed: seed + 29,
+        });
+        for (i, p) in patterns.iter().enumerate() {
+            let ctx = format!("{} nodes, seed {seed}, {}", doc.len(), queries[i]);
+            total += agree_with_counts(p, &doc, &ctx);
+            // Where the output hangs by a child edge, its answers are the
+            // matching children of that edge.
+            if i < 3 || i == 5 {
+                for u in answer_set(p, &doc) {
+                    if doc.parent(u).is_some_and(|p| p.0 + 1 == u.0) {
+                        first += 1;
+                    } else {
+                        later += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(first >= 100 && later >= 100, "{first} first-child and {later} later-child answers");
+    assert!(total > 1000, "only {total} embeddings: the documents stopped matching");
+}
+
+#[test]
 fn type_ids_near_u32_max_agree_with_naive() {
     // Huge type ids as primary types and as extra types, beside small
     // ones; the matcher must neither size a table by them nor miss them.
